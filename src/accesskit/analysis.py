@@ -15,7 +15,9 @@ from fractions import Fraction
 from .groebner import (
     CERT_EXACT,
     CERT_HEURISTIC,
+    DEFAULT_ORDER,
     Ideal,
+    normal_form,
     radical_heuristic,
     solve_zero_dim,
     to_state_ring,
@@ -136,16 +138,17 @@ def _fast_chain_ok(sys):
 
 def _mixed_reduce(p, ideal):
     """Normal form of a state/input polynomial modulo a state-ring ideal,
-    taken input-monomial coefficient by coefficient."""
+    with input monomials acting as coefficients.
+
+    Only used on parameter-free maps, where the reduced basis has constant
+    leading coefficients: the remainder is then unique and linear, so this
+    one pass equals the sum of mono * NF(coeff) over the input-monomial
+    coefficients of p.
+    """
     if ideal is None or not ideal.generators or p.is_zero:
         return p
-    reg = p.reg
-    out = reg.zero()
-    for mono, coeff in collect_by_class(p, "input").items():
-        nf = ideal.reduce(coeff, normalize=False)
-        if not nf.is_zero:
-            out = out + mono * nf.lift(reg)
-    return out
+    positions, basis = ideal.reducer(DEFAULT_ORDER, p.reg)
+    return normal_form(p, basis, DEFAULT_ORDER, positions, normalize=False)
 
 
 def _reduced_step_generators(sys, k, current):
@@ -195,23 +198,25 @@ def _reduced_step_generators(sys, k, current):
             for i in range(n)
         ]
 
+    # Every input-monomial coefficient of a reduced minor is a nonzero
+    # normal form, so none of them lies in the chain ideal so far.
     gens = []
     for colset in combinations(range(k * m), n):
         sub = [[M[i][j] for j in colset] for i in range(n)]
         det = red(bareiss_determinant(sub))
-        if det.is_zero:
-            continue
-        for coeff in collect_by_class(det, "input").values():
-            nf = current.reduce(coeff) if current is not None else coeff
-            if not nf.is_zero:
-                gens.append(nf)
+        gens.extend(collect_by_class(det, "input").values())
     return gens
 
 
-def _next_step_generators(sys, k, current):
+def _new_step_generators(sys, k, current):
+    """Generators of the step-k minor-coefficient ideal that are not in the
+    chain ideal so far (all of them when there is none yet)."""
     if _fast_chain_ok(sys):
         return _reduced_step_generators(sys, k, current)
-    return list(_step_ideal(sys, k).generators)
+    gens = _step_ideal(sys, k).generators
+    if current is None:
+        return list(gens)
+    return [g for g in gens if not current.contains(g)]
 
 
 def generic_accessibility(sys):
@@ -258,7 +263,7 @@ def algorithm2(sys, max_k=None, mode="forward"):
         return _entire_report(sys, mode, submersive)
     n = sys.n
     fast = _fast_chain_ok(sys)
-    current = Ideal(sys.reg, _next_step_generators(sys, n, None))
+    current = Ideal(sys.reg, _new_step_generators(sys, n, None))
     chain = ChainState(k=n, ideal=current)
     chain.record(n, current)
     report = AnalysisReport(
@@ -270,8 +275,7 @@ def algorithm2(sys, max_k=None, mode="forward"):
     )
     k = n
     while k < max_k:
-        gens = _next_step_generators(sys, k + 1, current)
-        new = [g for g in gens if not current.contains(g)]
+        new = _new_step_generators(sys, k + 1, current)
         if not new:
             # the chain is ascending, so one-way containment decides equality
             report.kappa = k

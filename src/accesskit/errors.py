@@ -42,3 +42,8 @@ class ResourceBudgetError(AccessKitError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial or []
+
+
+class VerificationError(AccessKitError):
+    """An exact check of a computed result failed: a fault in the
+    computation, not a property of the input."""

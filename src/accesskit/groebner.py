@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
-from . import _kernels as K
-from .errors import ResourceBudgetError, ZeroPolynomialError
+from .errors import ResourceBudgetError, VerificationError
 from .realroots import RootBox, real_roots
 from .ring import (
     Polynomial,
     RationalFunction,
     VariableRegistry,
+    _addmul_terms,
+    _mul_terms,
+    _scale_terms,
     divexact,
     grevlex_key,
     poly_gcd,
@@ -142,90 +144,111 @@ def clear_param_content(p):
 
 
 class _GBPoly:
-    """Basis element with cached order data."""
+    """Basis element with cached order data.
 
-    __slots__ = ("poly", "lead", "lead_coeff", "sugar")
+    Besides the leading state monomial and its coefficient, it keeps the
+    other state-monomial groups ready to be added into a polynomial under
+    reduction: negated and, when the leading coefficient is a constant,
+    divided by it.
+    """
+
+    __slots__ = ("poly", "lead", "lead_coeff", "sugar", "lc", "tail")
 
     def __init__(self, poly, order, positions, sugar=None):
         self.poly = poly
         self.sugar = sugar if sugar is not None else poly.total_degree()
-        self.lead, self.lead_coeff = _leading_data(poly, order, positions)
+        groups = _split(poly.terms, positions)
+        self.lead = max(groups, key=order.key)
+        self.lead_coeff = Polynomial(poly.reg, groups.pop(self.lead), _clean=True)
+        lc = self.lead_coeff
+        self.lc = lc.constant_value() if lc.is_constant else None
+        scale = -1 / self.lc if self.lc is not None else Fraction(-1)
+        self.tail = [(m, _scale_terms(t, scale)) for m, t in groups.items()]
 
 
-def _make_gbpoly(poly, order, positions, sugar=None):
-    return _GBPoly(poly, order, positions, sugar)
+def _split(terms, positions):
+    """Group a term map by state monomial.
+
+    Returns {projected state exponent: {rest exponent: coefficient}}, where
+    a rest exponent is the full exponent with the state positions zeroed.
+    """
+    groups = {}
+    for e, c in terms.items():
+        rest = list(e)
+        for i in positions:
+            rest[i] = 0
+        groups.setdefault(_project(e, positions), {})[tuple(rest)] = c
+    return groups
 
 
-def _leading_data(p, order, positions):
-    lead = None
-    for e in p.terms:
-        s = _project(e, positions)
-        if lead is None or order.key(s) > order.key(lead):
-            lead = s
-    coeff_terms = {}
-    for e, c in p.terms.items():
-        if _project(e, positions) == lead:
-            rest = tuple(0 if i in positions else x for i, x in enumerate(e))
-            coeff_terms[rest] = c
-    return lead, Polynomial(p.reg, coeff_terms, _clean=True)
+def _lead_monomial(p, order, positions):
+    """Leading state monomial of a nonzero p, projected to positions."""
+    return max((_project(e, positions) for e in p.terms), key=order.key)
 
 
 def normal_form(p, basis, order, positions, budget_steps=None, normalize=True):
     """Pseudo normal form of p modulo a list of _GBPoly.
 
-    Membership in the ideal over the parameter-fraction field is preserved:
-    the result is zero iff p reduces to zero.  With ``normalize=False`` the
-    content-clearing step is skipped so that the result is congruent to p
-    modulo the ideal; this requires every reduction step to have a constant
-    leading coefficient (always true in the parameter-free case).
+    Variables other than the states (parameters, inputs) act as
+    coefficients.  Membership in the ideal over the parameter-fraction
+    field is preserved: the result is zero iff p reduces to zero.  With
+    ``normalize=False`` the content-clearing step is skipped so that the
+    result is congruent to p modulo the ideal; this requires every
+    reduction step to have a constant leading coefficient (always true in
+    the parameter-free case).
+
+    p is held as its state-monomial groups and reduced in place: each step
+    takes the largest group, cancels it against the first basis element
+    whose leading monomial divides it, and adds the multiple of that
+    element's other groups straight into the target groups.
     """
     if p.is_zero:
         return p
     reg = p.reg
-    steps = 0
     cap = budget_steps or _step_cap()
-    tail = {}  # irreducible part
-    work = p
-    while not work.is_zero:
+    key = order.key
+    work = _split(p.terms, positions)
+    rem = {}  # irreducible groups; all larger than anything left in work
+    steps = 0
+    while work:
         steps += 1
         if steps > cap:
             raise ResourceBudgetError(
                 "normal-form step budget exceeded", partial=[g.poly for g in basis]
             )
-        lead, coeff = _leading_data(work, order, positions)
-        red = None
+        lead = max(work, key=key)
+        coeff = work.pop(lead)
         for g in basis:
             if _divides(g.lead, lead):
-                red = g
                 break
-        if red is None:
-            for e, c in work.terms.items():
-                if _project(e, positions) == lead:
-                    tail[e] = tail.get(e, Fraction(0)) + c
-            drop = {
-                e: c for e, c in work.terms.items() if _project(e, positions) != lead
-            }
-            work = Polynomial(reg, drop, _clean=True)
-            continue
-        shift = _shift_tuple(
-            reg.arity, positions, tuple(a - b for a, b in zip(lead, red.lead))
-        )
-        shifted = Polynomial(
-            reg, K.addmul_terms({}, Fraction(1), shift, red.poly.terms), _clean=True
-        )
-        lc = red.lead_coeff
-        if lc.is_constant:
-            work = work - (coeff * (1 / lc.constant_value())) * shifted
         else:
+            rem[lead] = coeff
+            continue
+        shift = tuple(a - b for a, b in zip(lead, g.lead))
+        if g.lc is None:
             if not normalize:
                 raise ValueError(
                     "congruence-preserving normal form needs constant "
                     "leading coefficients"
                 )
-            work = lc * work - coeff * shifted
-            if tail:
-                tail = K.mul_terms(tail, lc.terms)
-    out = Polynomial(reg, tail)
+            lc = g.lead_coeff.terms
+            work = {m: _mul_terms(t, lc) for m, t in work.items()}
+            rem = {m: _mul_terms(t, lc) for m, t in rem.items()}
+        for m, t in g.tail:
+            m = tuple(map(add, m, shift))
+            acc = work.setdefault(m, {})
+            for r, c in coeff.items():
+                _addmul_terms(acc, c, r, t)
+            if not acc:
+                del work[m]
+    out = {}
+    for m, t in rem.items():
+        for r, c in t.items():
+            e = list(r)
+            for i, x in zip(positions, m):
+                e[i] = x
+            out[tuple(e)] = c
+    out = Polynomial(reg, out, _clean=True)
     if out.is_zero or not normalize:
         return out
     return clear_param_content(out)[0]
@@ -235,8 +258,8 @@ def _spoly(f, g, order, positions, reg):
     lcm = tuple(max(a, b) for a, b in zip(f.lead, g.lead))
     sf = _shift_tuple(reg.arity, positions, tuple(a - b for a, b in zip(lcm, f.lead)))
     sg = _shift_tuple(reg.arity, positions, tuple(a - b for a, b in zip(lcm, g.lead)))
-    tf = Polynomial(reg, K.addmul_terms({}, Fraction(1), sf, f.poly.terms), _clean=True)
-    tg = Polynomial(reg, K.addmul_terms({}, Fraction(1), sg, g.poly.terms), _clean=True)
+    tf = Polynomial(reg, _addmul_terms({}, Fraction(1), sf, f.poly.terms), _clean=True)
+    tg = Polynomial(reg, _addmul_terms({}, Fraction(1), sg, g.poly.terms), _clean=True)
     s = g.lead_coeff * tf - f.lead_coeff * tg
     return clear_param_content(s)[0] if not s.is_zero else s
 
@@ -263,7 +286,7 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
         gp = clear_param_content(g)[0]
         if not gp.is_zero and gp not in seen:
             seen.add(gp)
-            seeds.append(_make_gbpoly(gp, order, positions))
+            seeds.append(_GBPoly(gp, order, positions))
     seeds.sort(key=lambda g: (g.sugar, len(g.poly.terms), order.key(g.lead)))
 
     basis = []
@@ -274,7 +297,7 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
             if r.is_zero:
                 continue
             r = clear_param_content(r)[0]
-        basis.append(_make_gbpoly(r, order, positions))
+        basis.append(_GBPoly(r, order, positions))
 
     pairs = set()
 
@@ -338,7 +361,7 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
             basis[i].sugar + sum(lcm) - sum(basis[i].lead),
             basis[j].sugar + sum(lcm) - sum(basis[j].lead),
         )
-        basis.append(_make_gbpoly(r, order, positions, sugar))
+        basis.append(_GBPoly(r, order, positions, sugar))
         add_pairs(len(basis) - 1)
 
     return _interreduce(basis, order, positions, reg)
@@ -372,11 +395,11 @@ def _interreduce(basis, order, positions, reg):
                 changed = True
                 break
             if r != keep[i].poly:
-                keep[i] = _make_gbpoly(clear_param_content(r)[0], order, positions)
+                keep[i] = _GBPoly(clear_param_content(r)[0], order, positions)
                 changed = True
                 break
     out = [clear_param_content(g.poly)[0] for g in keep]
-    out.sort(key=lambda p: order.key(_leading_data(p, order, positions)[0]))
+    out.sort(key=lambda p: order.key(_lead_monomial(p, order, positions)))
     return out
 
 
@@ -395,7 +418,7 @@ class Ideal:
         self.generators = tuple(dict.fromkeys(gens))
         self.certification = certification
         self._gb_cache = {}
-        self._lock = threading.Lock()
+        self._reducers = {}
 
     @property
     def is_zero_ideal(self):
@@ -403,10 +426,25 @@ class Ideal:
 
     def groebner_basis(self, order=DEFAULT_ORDER):
         key = (order.kind, order.permutation)
-        with self._lock:
-            if key not in self._gb_cache:
-                self._gb_cache[key] = buchberger(list(self.generators), order)
-            return list(self._gb_cache[key])
+        if key not in self._gb_cache:
+            self._gb_cache[key] = buchberger(list(self.generators), order)
+        return list(self._gb_cache[key])
+
+    def reducer(self, order=DEFAULT_ORDER, reg=None):
+        """(state positions, wrapped basis) for `normal_form` in registry
+        reg (default: the state ring), which may extend the state ring by
+        input symbols; the reduced basis is lifted to reg and cached per
+        order and registry."""
+        reg = reg or self.reg
+        key = (order, reg.key)
+        if key not in self._reducers:
+            positions = order.state_positions(reg)
+            basis = [
+                _GBPoly(g.lift(reg), order, positions)
+                for g in self.groebner_basis(order)
+            ]
+            self._reducers[key] = (positions, basis)
+        return self._reducers[key]
 
     def contains(self, p, order=DEFAULT_ORDER):
         """Ideal membership over the parameter-fraction field."""
@@ -417,12 +455,9 @@ class Ideal:
             raise ValueError("membership test across different state rings")
         if p.is_zero:
             return True
-        gb = self.groebner_basis(order)
-        if not gb:
+        positions, basis = self.reducer(order)
+        if not basis:
             return False
-        reg = self.reg
-        positions = order.state_positions(reg)
-        basis = [_make_gbpoly(g, order, positions) for g in gb]
         return normal_form(p, basis, order, positions).is_zero
 
     def reduce(self, p, order=DEFAULT_ORDER, normalize=True):
@@ -434,12 +469,9 @@ class Ideal:
             raise ValueError("reduction across different state rings")
         if p.is_zero:
             return p
-        gb = self.groebner_basis(order)
-        if not gb:
+        positions, basis = self.reducer(order)
+        if not basis:
             return p
-        reg = self.reg
-        positions = order.state_positions(reg)
-        basis = [_make_gbpoly(g, order, positions) for g in gb]
         return normal_form(p, basis, order, positions, normalize=normalize)
 
     def __le__(self, other):
@@ -479,7 +511,7 @@ class Ideal:
             return True  # empty variety
         reg = gb[0].reg
         positions = order.state_positions(reg)
-        leads = [_leading_data(g, order, positions)[0] for g in gb]
+        leads = [_lead_monomial(g, order, positions) for g in gb]
         for axis in range(len(positions)):
             if not any(
                 l[axis] > 0 and all(x == 0 for k, x in enumerate(l) if k != axis)
@@ -758,7 +790,10 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
     for pt in points:
         binding = dict(zip(reg.states, pt))
         for g in ideal.generators:
-            assert g.evaluate(binding) == 0
+            if g.evaluate(binding) != 0:
+                raise VerificationError(
+                    f"solved point {pt} is not a zero of generator {g}"
+                )
     return SolveResult("points", points=points)
 
 

@@ -13,7 +13,6 @@ import math
 import re
 from fractions import Fraction
 
-from . import _kernels as K
 from .errors import (
     ExactDivisionError,
     IndeterminateError,
@@ -32,6 +31,86 @@ _INPUT_NAME = re.compile(r"^(.*)\((\d+)\)$")
 def grevlex_key(exp):
     """Sort key: larger key = larger monomial in graded reverse lex."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+# -- term maps ------------------------------------------------------------
+#
+# A term map is a plain dict from exponent tuple to nonzero Fraction.
+
+
+def _mul_terms(a, b):
+    """Product of two term maps."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(e)
+            if c is None:
+                out[e] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    return out
+
+
+def _add_terms(a, b):
+    """Sum of two term maps."""
+    out = dict(a)
+    for e, c in b.items():
+        cur = out.get(e)
+        if cur is None:
+            out[e] = c
+        else:
+            cur = cur + c
+            if cur:
+                out[e] = cur
+            else:
+                del out[e]
+    return out
+
+
+def _addmul_terms(acc, coeff, shift, src):
+    """In-place ``acc += coeff * x^shift * src``.  Returns ``acc``."""
+    if not coeff:
+        return acc
+    for e, c in src.items():
+        es = tuple(x + y for x, y in zip(e, shift))
+        cur = acc.get(es)
+        if cur is None:
+            acc[es] = coeff * c
+        else:
+            cur = cur + coeff * c
+            if cur:
+                acc[es] = cur
+            else:
+                del acc[es]
+    return acc
+
+
+def _scale_terms(a, coeff):
+    """Every coefficient times a scalar."""
+    if not coeff:
+        return {}
+    return {e: c * coeff for e, c in a.items()}
+
+
+def _eval_terms(terms, values):
+    """Value of a term map at a point given as a tuple of Fractions."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        v = c
+        for i, p in enumerate(e):
+            if p:
+                v = v * values[i] ** p
+        total += v
+    return total
 
 
 class VariableRegistry:
@@ -264,12 +343,12 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = unify(self, other)
-        return Polynomial(a.reg, K.add_terms(a.terms, b.terms), _clean=True)
+        return Polynomial(a.reg, _add_terms(a.terms, b.terms), _clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.reg, K.scale_terms(self.terms, Fraction(-1)), _clean=True)
+        return Polynomial(self.reg, _scale_terms(self.terms, Fraction(-1)), _clean=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -282,11 +361,11 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.reg, K.scale_terms(self.terms, Fraction(other)), _clean=True)
+            return Polynomial(self.reg, _scale_terms(self.terms, Fraction(other)), _clean=True)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = unify(self, other)
-        return Polynomial(a.reg, K.mul_terms(a.terms, b.terms), _clean=True)
+        return Polynomial(a.reg, _mul_terms(a.terms, b.terms), _clean=True)
 
     __rmul__ = __mul__
 
@@ -343,7 +422,7 @@ class Polynomial:
                     f"no value supplied for {self.reg.name(i)!r}"
                 )
         vals = tuple(v if v is not None else Fraction(0) for v in values)
-        return K.eval_terms(self.terms, vals)
+        return _eval_terms(self.terms, vals)
 
     def substitute(self, bindings):
         """Substitute variables by rational functions; returns RationalFunction."""
@@ -438,7 +517,7 @@ def _from_univar(reg, i, coeffs):
         shift = [0] * reg.arity
         shift[i] = d
         total = total + Polynomial(
-            reg, K.addmul_terms({}, Fraction(1), tuple(shift), c.terms), _clean=True
+            reg, _addmul_terms({}, Fraction(1), tuple(shift), c.terms), _clean=True
         )
     return total
 
@@ -706,7 +785,7 @@ def divexact(p, d):
         s = tuple(x - y for x, y in zip(e, ed))
         cc = c / cd
         q[s] = cc
-        K.addmul_terms(r, -cc, s, d.terms)
+        _addmul_terms(r, -cc, s, d.terms)
     return Polynomial(p.reg, q)
 
 

@@ -161,10 +161,17 @@ def shifted_jacobians(sys, t):
 
 
 def jacobians(sys):
-    """(A, B): entrywise derivatives of the transition map in states/inputs."""
-    A = [[f.diff(s) for s in sys.reg.states] for f in sys.phi]
-    B = [[f.diff(u) for u in sys.reg.inputs] for f in sys.phi]
-    return A, B
+    """(A, B): entrywise derivatives of the transition map in states/inputs.
+
+    Computed once per model; the rows are tuples, so the cached pair
+    cannot be changed through a caller's copy."""
+    key = "J"
+    if key not in sys._cache:
+        sys._cache[key] = (
+            tuple(tuple(f.diff(s) for s in sys.reg.states) for f in sys.phi),
+            tuple(tuple(f.diff(u) for u in sys.reg.inputs) for f in sys.phi),
+        )
+    return sys._cache[key]
 
 
 @dataclass
@@ -192,7 +199,7 @@ def build_M(sys, k):
         return sys._cache[key]
     A, B = jacobians(sys)
     if k == 1:
-        M = AccessMatrix(1, [row[:] for row in B])
+        M = AccessMatrix(1, [list(row) for row in B])
         sys._cache[key] = M
         return M
     prev = build_M(sys, k - 1)

@@ -7,13 +7,18 @@ import pytest
 
 from accesskit import (
     Ideal,
+    Polynomial,
     VariableRegistry,
     ideal_equal,
     ideal_sum,
     radical_heuristic,
     solve_zero_dim,
 )
-from accesskit.groebner import vanishing_ideal
+from accesskit import groebner
+from accesskit.analysis import _mixed_reduce
+from accesskit.errors import ResourceBudgetError, VerificationError
+from accesskit.groebner import MonomialOrder, _GBPoly, normal_form, vanishing_ideal
+from accesskit.ring import collect_by_class
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +209,13 @@ class TestSolveZeroDim:
         r = solve_zero_dim(Ideal(reg, [x2 * (x1 + x2)]))
         assert r.status == "not_zero_dimensional"
 
+    def test_wrong_root_is_an_error(self, reg, monkeypatch):
+        # the final exact check must survive `python -O`, so it raises
+        monkeypatch.setattr(groebner, "real_roots", lambda coeffs: [Fraction(5)])
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        with pytest.raises(VerificationError):
+            solve_zero_dim(Ideal(reg, [x1 - reg.one(), x2]))
+
     def test_solutions_zero_generators(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
         gens = [x1 * x1 - reg.const(Fraction(9)), x2 - x1]
@@ -227,3 +239,101 @@ class TestVanishingIdeal:
         assert V.contains(x2)
         assert V.contains(x1 * x1 - x1)
         assert not V.contains(x1)
+
+
+def _random_poly(reg, rng, names, terms, deg):
+    p = reg.zero()
+    for _ in range(terms):
+        term = reg.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, deg)):
+            term = term * reg.var(rng.choice(names))
+        p = p + term
+    return p
+
+
+class TestNormalForm:
+    """The in-place normal form against sympy, and the one-pass reduction of
+    state x input polynomials against coefficient-wise reduction."""
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("nstates", [2, 3])
+    def test_matches_sympy_reduced(self, kind, nstates):
+        sympy = pytest.importorskip("sympy")
+        names = ("x1", "x2", "x3")[:nstates]
+        reg = VariableRegistry(names, (), (), 0)
+        xs = sympy.symbols(names)
+        order = MonomialOrder(kind)
+        positions = order.state_positions(reg)
+        sym_order = "grevlex" if kind == "degrevlex" else "lex"
+
+        def to_sympy(p):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                for e, c in p.terms.items()
+            )
+
+        def from_sympy(q):
+            terms = sympy.Poly(q, *xs).terms()
+            return Polynomial(reg, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+
+        rng = random.Random(41 + nstates)
+        deg = 3 if nstates == 2 else 2
+        checked = 0
+        for _ in range(12):
+            gens = [_random_poly(reg, rng, names, 3, deg) for _ in range(2)]
+            gens = [g for g in gens if not g.is_zero]
+            if not gens:
+                continue
+            G = sympy.groebner([to_sympy(g) for g in gens], *xs, order=sym_order)
+            basis = [_GBPoly(from_sympy(g), order, positions) for g in G.exprs]
+            ideal = Ideal(reg, gens)
+            for _ in range(4):
+                p = _random_poly(reg, rng, names, 5, deg + 2)
+                _, rem = sympy.reduced(to_sympy(p), G.exprs, *xs, order=sym_order)
+                want = from_sympy(rem)
+                got = normal_form(p, basis, order, positions, normalize=False)
+                assert got == want
+                # the ideal's own basis leaves the same (unique) remainder
+                assert ideal.reduce(p, order, normalize=False) == want
+                checked += 1
+        assert checked >= 40
+
+    def test_one_pass_mixed_reduction(self):
+        reg = VariableRegistry(("x1", "x2"), ("u",), (), 0)
+        target = reg.with_horizon(2)
+        rng = random.Random(17)
+        names = ("x1", "x2")
+        mixed = ("x1", "x2", "u", "u(1)")
+        for _ in range(30):
+            gens = [_random_poly(reg, rng, names, 3, 2) for _ in range(2)]
+            gens = [g for g in gens if not g.is_zero]
+            if not gens:
+                continue
+            ideal = Ideal(reg, gens)
+            p = _random_poly(target, rng, mixed, 6, 4)
+            want = target.zero()
+            for mono, coeff in collect_by_class(p, "input").items():
+                want = want + mono * ideal.reduce(coeff, normalize=False).lift(target)
+            assert _mixed_reduce(p, ideal) == want
+
+    def test_step_budget_keeps_partial_basis(self, reg):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        ideal = Ideal(reg, [x1 - x2, x2 * x2 - reg.one()])
+        positions, basis = ideal.reducer()
+        p = (x1 + x2) ** 4
+        with pytest.raises(ResourceBudgetError) as err:
+            normal_form(p, basis, groebner.DEFAULT_ORDER, positions, budget_steps=2)
+        assert err.value.partial
+        assert err.value.partial == [g.poly for g in basis]
+        assert not normal_form(p, basis, groebner.DEFAULT_ORDER, positions).is_zero
+
+    def test_parametric_leading_coefficient(self, reg):
+        x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
+        ideal = Ideal(reg, [T * x1 + x2])
+        with pytest.raises(ValueError):
+            ideal.reduce(x1 * x1, normalize=False)
+        # the pseudo normal form clears the parameter: T^2*x1^2 = x2^2 mod I
+        assert ideal.reduce(x1 * x1) == x2 * x2
+        # an irreducible part found before a pseudo step is scaled by T too
+        assert ideal.reduce(x2**3 + x1) == T * x2**3 - x2

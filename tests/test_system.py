@@ -81,6 +81,14 @@ class TestJacobians:
         assert B[0][0].is_zero
         assert B[1][0] == v["x2"] ** 2 - v["x2"]
 
+    def test_computed_once_and_read_only(self, coil):
+        A, B = jacobians(coil)
+        assert jacobians(coil) is jacobians(coil)
+        with pytest.raises(TypeError):
+            A[0][0] = B[0][0]
+        with pytest.raises(AttributeError):
+            B[0].append(A[0][0])
+
 
 class TestBuildM:
     def test_base_case_is_input_jacobian(self, coil, rational2d, drift):
