@@ -11,34 +11,33 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 from .groebner import (
     CERT_EXACT,
-    CERT_HEURISTIC,
     DEFAULT_ORDER,
     Ideal,
     normal_form,
     radical_heuristic,
     solve_zero_dim,
-    to_state_ring,
 )
-from itertools import combinations
-
 from .errors import (
     DegenerateDenominatorError,
     IndeterminateError,
     PoleError,
     ZeroPolynomialError,
 )
-from .ring import Polynomial, RationalFunction, collect_by_class
+from .ring import RationalFunction, collect_by_class
 from .system import (
     bareiss_determinant,
     build_M,
     coefficient_ideal,
-    jacobians,
+    flow_env,
     minors_and_coefficients,
     submersivity_check,
     symbolic_rank,
+    walk_matrix,
 )
 
 
@@ -163,40 +162,18 @@ def _reduced_step_generators(sys, k, current):
     n, m = sys.n, sys.m
     if k * m < n:
         return []
-    target = sys.reg.with_horizon(max(k, 1))
+    target = sys.reg.with_horizon(k)
     red = lambda p: _mixed_reduce(p, current)
 
-    xs = [[target.var(s) for s in sys.reg.states]]
-    for t in range(1, k):
-        bindings = dict(zip(sys.reg.states, xs[t - 1]))
+    def bind(x, t):
+        env = dict(zip(sys.reg.states, x))
         for base in sys.reg.inputs:
-            name = base if t == 1 else f"{base}({t - 1})"
-            bindings[base] = target.var(name)
-        xs.append([red(f.num.substitute(bindings).num) for f in sys.phi])
+            env[base] = target.var(f"{base}({t})")
+        return env
 
-    A, B = jacobians(sys)
-
-    def shifted(mat, t):
-        bindings = dict(zip(sys.reg.states, xs[t]))
-        for base in sys.reg.inputs:
-            name = base if t == 0 else f"{base}({t})"
-            bindings[base] = target.var(name)
-        return [
-            [red(e.num.substitute(bindings).num) for e in row] for row in mat
-        ]
-
-    M = shifted(B, 0)
-    for t in range(1, k):
-        A_s = shifted(A, t)
-        B_s = shifted(B, t)
-        M = [
-            [
-                red(sum((A_s[i][l] * M[l][j] for l in range(n)), target.zero()))
-                for j in range(len(M[0]))
-            ]
-            + B_s[i]
-            for i in range(n)
-        ]
+    x0 = [target.var(s) for s in sys.reg.states]
+    ev = lambda f, env: red(f.num.substitute(env).num)
+    M = walk_matrix(sys, x0, k, bind, ev, red)
 
     # Every input-monomial coefficient of a reduced minor is a nonzero
     # normal form, so none of them lies in the chain ideal so far.
@@ -327,60 +304,22 @@ def cumulative_ideal(sys, k):
 def _point_matrix(sys, x0, k):
     """The k-step accessibility matrix with the state bound to an exact
     rational point; entries depend on inputs (and parameters) only."""
-    target = sys.reg.with_horizon(max(k, 1))
-    consts = tuple(RationalFunction(target.const(v)) for v in x0)
-    xs = [consts]
-    for t in range(1, k):
-        bindings = dict(zip(sys.reg.states, xs[t - 1]))
-        for base in sys.reg.inputs:
-            name = base if t == 1 else f"{base}({t - 1})"
-            bindings[base] = RationalFunction(target.var(name))
-        xs.append(tuple(f.substitute(bindings) for f in sys.phi))
-
-    A, B = jacobians(sys)
-
-    def shifted(mat, t):
-        bindings = dict(zip(sys.reg.states, xs[t]))
-        for base in sys.reg.inputs:
-            name = base if t == 0 else f"{base}({t})"
-            bindings[base] = RationalFunction(target.var(name))
-        return [[e.substitute(bindings) for e in row] for row in mat]
-
-    n = sys.n
-    M = shifted(B, 0)
-    for t in range(1, k):
-        A_s = shifted(A, t)
-        B_s = shifted(B, t)
-        M = [
-            [
-                sum(
-                    (A_s[i][l] * M[l][j] for l in range(n)),
-                    RationalFunction(target.zero()),
-                )
-                for j in range(len(M[0]))
-            ]
-            + B_s[i]
-            for i in range(n)
-        ]
-    return M
+    consts = [RationalFunction(sys.reg.const(v)) for v in x0]
+    return walk_matrix(
+        sys, consts, k, partial(flow_env, sys.reg), RationalFunction.substitute
+    )
 
 
-def _fraction_rank(rows, n):
-    rank, col = 0, 0
-    ncols = len(rows[0])
-    while rank < n and col < ncols:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _sample_matrix(sys, x0, values):
+    """The k-step accessibility matrix at exact values, k = len(values):
+    values[t] binds the parameters and the inputs of step t."""
+
+    def bind(x, t):
+        env = dict(values[t])
+        env.update(zip(sys.reg.states, x))
+        return env
+
+    return walk_matrix(sys, x0, len(values), bind, RationalFunction.evaluate)
 
 
 def _sampled_full_rank(sys, x0, k, trials=3):
@@ -392,44 +331,15 @@ def _sampled_full_rank(sys, x0, k, trials=3):
     below: reaching n is a proof, a deficient sample proves nothing and
     the caller falls back to symbolic elimination."""
     rng = random.Random(0x5EED)
-    n = sys.n
-    A, B = jacobians(sys)
+    draw = lambda: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
     for _ in range(trials):
-        point = {
-            p: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
-            for p in sys.reg.params
-        }
-        us = [
-            {
-                u: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
-                for u in sys.reg.inputs
-            }
-            for _ in range(k)
-        ]
+        point = {p: draw() for p in sys.reg.params}
+        values = [{**point, **{u: draw() for u in sys.reg.inputs}} for _ in range(k)]
         try:
-            x = list(x0)
-            M = None
-            for t in range(k):
-                vals = dict(point)
-                vals.update(zip(sys.reg.states, x))
-                vals.update(us[t])
-                A_t = [[e.evaluate(vals) for e in row] for row in A]
-                B_t = [[e.evaluate(vals) for e in row] for row in B]
-                if M is None:
-                    M = B_t
-                else:
-                    M = [
-                        [
-                            sum(A_t[i][l] * M[l][j] for l in range(n))
-                            for j in range(len(M[0]))
-                        ]
-                        + B_t[i]
-                        for i in range(n)
-                    ]
-                x = [f.evaluate(vals) for f in sys.phi]
+            M = _sample_matrix(sys, x0, values)
         except (PoleError, IndeterminateError):
             continue
-        if _fraction_rank(M, n) == n:
+        if symbolic_rank(M) == sys.n:
             return True
     return False
 

@@ -2,7 +2,9 @@
 
 Subcommands: check, index, singular, point, simulate, rank, scan1d,
 backward.  Machine-readable JSON goes to standard output; diagnostics go
-to standard error.  Exit codes: 0 success, 2 parse error, 3 resource
+to standard error.  Exit codes: 0 success, 1 analysis failure (an error
+raised by the analysis itself, not by its input), 2 parse or usage error
+(reading the arguments, loading or binding the system file), 3 resource
 budget exceeded, 4 pole/denominator degeneracy.
 """
 
@@ -34,6 +36,7 @@ from .sysfile import ParseError, parse_system, to_numeric_step, to_system_model
 from .system import submersivity_check
 
 EXIT_OK = 0
+EXIT_ANALYSIS = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_POLE = 4
@@ -81,12 +84,23 @@ def _singular_json(s):
     }
 
 
-def _report_json(report, digest, started):
+def _header(digest, system, started, command=None):
+    """The keys every JSON document shares (`backward` has no command)."""
     doc = {
         "tool": "accesskit",
         "version": __version__,
         "input_sha256": digest,
-        "system": report.system_name,
+        "system": system,
+        "elapsed_seconds": round(time.time() - started, 3),
+    }
+    if command is not None:
+        doc["command"] = command
+    return doc
+
+
+def _report_json(report, digest, started, command=None):
+    return {
+        **_header(digest, report.system_name, started, command),
         "mode": report.mode,
         "submersive": report.submersive,
         "generically_accessible": report.generically_accessible,
@@ -101,9 +115,21 @@ def _report_json(report, digest, started):
             {"k": k, "basis": [str(g) for g in gb], "certification": cert}
             for k, gb, cert in (report.chain.history if report.chain else [])
         ],
-        "elapsed_seconds": round(time.time() - started, 3),
     }
-    return doc
+
+
+class _AnalysisFailure(Exception):
+    """An AccessKitError or ValueError raised by the analysis itself."""
+
+
+def _analyse(fn, *args, **kwargs):
+    """Call one analysis step; budget and pole errors keep their own codes."""
+    try:
+        return fn(*args, **kwargs)
+    except (ResourceBudgetError, PoleError, DegenerateDenominatorError):
+        raise
+    except (AccessKitError, ValueError) as exc:
+        raise _AnalysisFailure(exc) from exc
 
 
 def _emit(doc):
@@ -180,6 +206,8 @@ def main(argv=None):
     p.add_argument("--max-k", type=int, default=None)
 
     args = ap.parse_args(argv)
+    if args.command in ("point", "rank") and args.k < 1:
+        ap.error("argument --k: the horizon must be >= 1")
     started = time.time()
     try:
         return _dispatch(args, started)
@@ -192,10 +220,10 @@ def main(argv=None):
     except (PoleError, DegenerateDenominatorError) as exc:
         print(f"pole/degeneracy: {exc}", file=_sys.stderr)
         return EXIT_POLE
-    except AccessKitError as exc:
+    except _AnalysisFailure as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+        return EXIT_ANALYSIS
+    except (AccessKitError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
 
@@ -208,7 +236,7 @@ def _dispatch(args, started):
         spec, model, digest = _load(args.inverse, binds)
         if model is None:
             raise AccessKitError("backward analysis needs a symbolic system")
-        report = backward_analysis(model, max_k=args.max_k)
+        report = _analyse(backward_analysis, model, max_k=args.max_k)
         _emit(_report_json(report, digest, started))
         return EXIT_OK
 
@@ -218,7 +246,8 @@ def _dispatch(args, started):
         step = to_numeric_step(spec, params=binds)
         xr = [float(v) for v in args.x_range.split(",")]
         ur = [float(v) for v in args.u_range.split(",")]
-        sets = grid_scan_1d(
+        sets = _analyse(
+            grid_scan_1d,
             step,
             xr,
             ur,
@@ -229,17 +258,12 @@ def _dispatch(args, started):
         )
         _emit(
             {
-                "tool": "accesskit",
-                "version": __version__,
-                "input_sha256": digest,
-                "system": spec.name,
-                "command": "scan1d",
+                **_header(digest, spec.name, started, "scan1d"),
                 "certification": "estimate",
                 "levels": [
                     {"k": j + 1, "flagged": [round(x, 10) for x in pts]}
                     for j, pts in enumerate(sets)
                 ],
-                "elapsed_seconds": round(time.time() - started, 3),
             }
         )
         return EXIT_OK
@@ -250,15 +274,11 @@ def _dispatch(args, started):
         )
 
     if cmd == "check":
-        sub_ok = submersivity_check(model)
-        ga = sub_ok and generic_accessibility(model)
+        sub_ok = _analyse(submersivity_check, model)
+        ga = sub_ok and _analyse(generic_accessibility, model)
         _emit(
             {
-                "tool": "accesskit",
-                "version": __version__,
-                "input_sha256": digest,
-                "system": model.name,
-                "command": "check",
+                **_header(digest, model.name, started, "check"),
                 "submersive": sub_ok,
                 "generically_accessible": ga,
                 "verdict": (
@@ -266,25 +286,22 @@ def _dispatch(args, started):
                     if ga
                     else "not generically accessible; singular everywhere"
                 ),
-                "elapsed_seconds": round(time.time() - started, 3),
             }
         )
         return EXIT_OK
 
     if cmd in ("index", "singular"):
-        report = algorithm2(model, max_k=args.max_k)
+        report = _analyse(algorithm2, model, max_k=args.max_k)
         if cmd == "index" and args.exact_radical and report.generically_accessible:
-            r_star, _ideal, certified = algorithm1(model, max_k=args.max_k)
+            r_star, _ideal, certified = _analyse(algorithm1, model, max_k=args.max_k)
             report.r_star = r_star
             report.r_star_certified = certified
-        doc = _report_json(report, digest, started)
-        doc["command"] = cmd
-        _emit(doc)
+        _emit(_report_json(report, digest, started, cmd))
         return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
 
     if cmd == "point":
         x0 = _point_arg(args.x, model.n)
-        verdict = point_status(model, x0, args.k)
+        verdict = _analyse(point_status, model, x0, args.k)
         label = (
             "undefined (excluded denominator locus)"
             if verdict.undefined
@@ -296,17 +313,12 @@ def _dispatch(args, started):
         )
         _emit(
             {
-                "tool": "accesskit",
-                "version": __version__,
-                "input_sha256": digest,
-                "system": model.name,
-                "command": "point",
+                **_header(digest, model.name, started, "point"),
                 "point": [_rat(c) for c in x0],
                 "k": verdict.k,
                 "in_S_k": verdict.in_S_k,
                 "undefined": verdict.undefined,
                 "verdict": label,
-                "elapsed_seconds": round(time.time() - started, 3),
             }
         )
         return EXIT_OK
@@ -318,40 +330,30 @@ def _dispatch(args, started):
             for step in args.u.split(";")
             if step
         ]
-        traj = simulate(model, x0, inputs)
+        traj = _analyse(simulate, model, x0, inputs)
         _emit(
             {
-                "tool": "accesskit",
-                "version": __version__,
-                "input_sha256": digest,
-                "system": model.name,
-                "command": "simulate",
+                **_header(digest, model.name, started, "simulate"),
                 "states": traj.states,
                 "inputs": traj.inputs,
-                "elapsed_seconds": round(time.time() - started, 3),
             }
         )
         return EXIT_OK
 
     if cmd == "rank":
         x0 = [float(Fraction(p)) for p in args.x.split(",") if p]
-        est = jacobian_rank(
-            model, x0, args.k, samples=args.samples, tol=args.tol
+        est = _analyse(
+            jacobian_rank, model, x0, args.k, samples=args.samples, tol=args.tol
         )
         _emit(
             {
-                "tool": "accesskit",
-                "version": __version__,
-                "input_sha256": digest,
-                "system": model.name,
-                "command": "rank",
+                **_header(digest, model.name, started, "rank"),
                 "k": args.k,
                 "rank": est.rank,
                 "singular_values": est.singular_values,
                 "tolerance": est.tolerance,
                 "samples": est.samples,
                 "certification": "sampled",
-                "elapsed_seconds": round(time.time() - started, 3),
             }
         )
         return EXIT_OK

@@ -14,7 +14,6 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from operator import add
 
 from .errors import ResourceBudgetError, VerificationError
@@ -473,9 +472,6 @@ class Ideal:
         if not basis:
             return p
         return normal_form(p, basis, order, positions, normalize=normalize)
-
-    def __le__(self, other):
-        return all(other.contains(g) for g in self.generators)
 
     def equal(self, other, order=DEFAULT_ORDER):
         """True iff the two ideals coincide (mutual containment)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import PoleError, VerificationError
 from .system import jacobians
 
 POLE_GUARD = 1e-9
@@ -116,7 +116,10 @@ def numeric_access_matrix(sys, x0, inputs, params=None):
         M = B if M is None else np.hstack([A @ M, B])
     if M is None:
         raise ValueError("at least one input step required")
-    assert M.shape == (n, len(inputs) * m)
+    if M.shape != (n, len(inputs) * m):
+        raise VerificationError(
+            f"accessibility matrix of shape {M.shape}, expected {(n, len(inputs) * m)}"
+        )
     return M
 
 

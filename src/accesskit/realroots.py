@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationError
+
 
 @dataclass(frozen=True)
 class RootBox:
@@ -225,7 +227,8 @@ def _deflate(coeffs, root):
     for c in reversed(coeffs):
         carry = c + carry * root
         out.append(carry)
-    assert out[-1] == 0, "deflation by a non-root"
+    if out[-1] != 0:
+        raise VerificationError(f"deflation by a non-root {root}")
     return list(reversed(out[:-1]))
 
 

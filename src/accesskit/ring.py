@@ -190,19 +190,9 @@ class VariableRegistry:
         return [i for i in range(self.arity) if self.kind(i) == kind]
 
     @property
-    def param_indices(self):
-        return range(len(self.params))
-
-    @property
     def state_indices(self):
         p = len(self.params)
         return range(p, p + len(self.states))
-
-    def input_index(self, base, t):
-        p, n, m = len(self.params), len(self.states), len(self.inputs)
-        if t >= self.horizon:
-            raise UnregisteredVariableError(f"input time {t} beyond horizon {self.horizon}")
-        return p + n + t * m + self.inputs.index(base)
 
     def with_horizon(self, horizon):
         if horizon == self.horizon:
@@ -455,9 +445,6 @@ class Polynomial:
             return self, Fraction(0)
         c = self.signed_content()
         return self * (1 / c), c
-
-    def coeff_of(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
 
     # -- display ----------------------------------------------------------
 

@@ -1,20 +1,21 @@
 """System model, forward-shift calculus and accessibility matrices.
 
 The k-step accessibility matrix is built by the recursion
-``M_1 = B``, ``M_k = [shift(A, k-1) * M_{k-1} | shift(B, k-1)]`` where A and
-B are the state and input Jacobians of the transition map and the shift
-substitutes the transition map for the states while bumping input time
-indices.
+``M_1 = B``, ``M_k = [A<k-1> * M_{k-1} | B<k-1>]`` where A and B are the
+state and input Jacobians of the transition map and ``<t>`` evaluates
+them along the flow t steps ahead.  `access_steps` is the one
+implementation; its callers choose the domain (symbolic, reduced modulo
+an ideal, state pinned, or exact samples).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
-from .errors import ZeroPolynomialError
-from .groebner import CERT_EXACT, Ideal, clear_param_content, to_state_ring
+from .groebner import CERT_EXACT, Ideal, to_state_ring
 from .ring import (
     Polynomial,
     RationalFunction,
@@ -119,47 +120,6 @@ def shift(f, sys, t=1):
     return f
 
 
-def shifted_states(sys, t):
-    """States after t steps as functions of x and u(0..t-1)."""
-    key = ("X", t)
-    if key in sys._cache:
-        return sys._cache[key]
-    if t == 0:
-        out = [RationalFunction(sys.reg.var(s)) for s in sys.reg.states]
-    else:
-        prev = shifted_states(sys, t - 1)
-        target = sys.reg.with_horizon(t)
-        bindings = {s: f.lift(target) for s, f in zip(sys.reg.states, prev)}
-        for base in sys.reg.inputs:
-            name = base if t == 1 else f"{base}({t - 1})"
-            bindings[base] = RationalFunction(target.var(name))
-        out = [f.substitute(bindings) for f in sys.phi]
-    sys._cache[key] = out
-    return out
-
-
-def shifted_jacobians(sys, t):
-    """The state/input Jacobians evaluated along the t-shifted state."""
-    key = ("AB", t)
-    if key in sys._cache:
-        return sys._cache[key]
-    A, B = jacobians(sys)
-    if t == 0:
-        out = (A, B)
-    else:
-        xs = shifted_states(sys, t)
-        target = sys.reg.with_horizon(t + 1)
-        bindings = {s: f.lift(target) for s, f in zip(sys.reg.states, xs)}
-        for base in sys.reg.inputs:
-            bindings[base] = RationalFunction(target.var(f"{base}({t})"))
-        out = (
-            [[e.substitute(bindings) for e in row] for row in A],
-            [[e.substitute(bindings) for e in row] for row in B],
-        )
-    sys._cache[key] = out
-    return out
-
-
 def jacobians(sys):
     """(A, B): entrywise derivatives of the transition map in states/inputs.
 
@@ -190,35 +150,84 @@ class AccessMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def build_M(sys, k):
-    """Accessibility matrix recursion up to horizon k (k >= 1)."""
+def flow_env(reg, x, t):
+    """Step-t environment of the symbolic walk: the states bound to x and
+    each input to its time-t copy, over the horizon-(t+1) registry."""
+    target = reg.with_horizon(t + 1)
+    env = {s: f.lift(target) for s, f in zip(reg.states, x)}
+    for base in reg.inputs:
+        env[base] = RationalFunction(target.var(f"{base}({t})"))
+    return env
+
+
+def access_steps(sys, x, bind, ev, reduce=None, t=0, M=None):
+    """Walk x_{s+1} = Phi(x_s, u(s)) from the state x = x_t and yield
+    (env_s, A<s>, M_{s+1}) for s = t, t+1, ...
+
+    The caller supplies the domain: bind(x, s) builds the step-s
+    environment, ev(f, env) evaluates a map or Jacobian entry in it, and
+    reduce, when given, is applied to each entry of A<s> * M_s.  M is M_t
+    when the walk resumes at t > 0.  A<0> is never formed (M_1 = B<0>),
+    and the next state is evaluated only when the walk goes on.
+    """
+    A, B = jacobians(sys)
+    while True:
+        env = bind(x, t)
+        B_t = [[ev(e, env) for e in row] for row in B]
+        A_t = None
+        if M is None:
+            M = B_t
+        else:
+            A_t = [[ev(e, env) for e in row] for row in A]
+            M = [
+                [_dot(a_row, M, j, reduce) for j in range(len(M[0]))] + b_row
+                for a_row, b_row in zip(A_t, B_t)
+            ]
+        yield env, A_t, M
+        x = [ev(f, env) for f in sys.phi]
+        t += 1
+
+
+def _dot(row, M, j, reduce):
+    terms = [a * m[j] for a, m in zip(row, M)]
+    acc = sum(terms[1:], terms[0])
+    return acc if reduce is None else reduce(acc)
+
+
+def walk_matrix(sys, x, k, bind, ev, reduce=None):
+    """M_k (k >= 1) along the walk from the state x."""
     if k < 1:
         raise ValueError("horizon must be >= 1")
-    key = ("M", k)
-    if key in sys._cache:
-        return sys._cache[key]
-    A, B = jacobians(sys)
-    if k == 1:
-        M = AccessMatrix(1, [list(row) for row in B])
-        sys._cache[key] = M
-        return M
-    prev = build_M(sys, k - 1)
-    A_s, B_s = shifted_jacobians(sys, k - 1)
-    n = sys.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(prev.cols):
-            acc = None
-            for l in range(n):
-                term = A_s[i][l] * prev.entries[l][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        row.extend(B_s[i])
-        rows.append(row)
-    M = AccessMatrix(k, rows)
-    sys._cache[key] = M
+    steps = access_steps(sys, x, bind, ev, reduce)
+    for _ in range(k):
+        _env, _A, M = next(steps)
     return M
+
+
+def build_M(sys, k):
+    """Accessibility matrix M_k over the rational functions (k >= 1).
+
+    The walk is cached on the model as plain per-step data: M_k, A<k-1>
+    (for `minor_determinants`) and the point to resume from."""
+    if k < 1:
+        raise ValueError("horizon must be >= 1")
+    cache = sys._cache
+    if ("M", k) not in cache:
+        t, env, M = cache.get("walk", (0, None, None))
+        if env is None:
+            x = [RationalFunction(sys.reg.var(s)) for s in sys.reg.states]
+        else:
+            x = [f.substitute(env) for f in sys.phi]
+        steps = access_steps(
+            sys, x, partial(flow_env, sys.reg), RationalFunction.substitute, t=t, M=M
+        )
+        for t, (env, A_t, M) in enumerate(steps, t):
+            cache["A", t] = A_t
+            cache["M", t + 1] = AccessMatrix(t + 1, M)
+            if t + 1 == k:
+                break
+        cache["walk"] = (k, env, M)
+    return cache["M", k]
 
 
 def bareiss_determinant(mat):
@@ -373,8 +382,7 @@ def minor_determinants(sys, k):
         for colset in combinations(range(M.cols), n):
             if old is not None and all(c < old_cols for c in colset):
                 if det_a is None:
-                    A_s, _ = shifted_jacobians(sys, k - 1)
-                    det_a = _det_rational(A_s)
+                    det_a = _det_rational(sys._cache["A", k - 1])
                 out[colset] = det_a * old[colset]
             else:
                 sub = [[M.entries[i][j] for j in colset] for i in range(n)]
@@ -434,28 +442,24 @@ def coefficient_ideal(dec, reg):
 
 
 def symbolic_rank(entries):
-    """Generic (maximal) rank of a RationalFunction matrix, exactly."""
-    rows = [row[:] for row in entries]
-    rank = 0
-    col = 0
+    """Rank of a matrix of RationalFunction or Fraction entries by exact
+    elimination: the generic (maximal) rank for rational functions."""
+    rows = [list(row) for row in entries]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    r = 0
-    while r < nrows and col < ncols:
-        piv = next((i for i in range(r, nrows) if not rows[i][col].is_zero), None)
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nrows):
-            if not rows[i][col].is_zero:
-                factor = rows[i][col] / rows[r][col]
-                rows[i] = [
-                    a - factor * b for a, b in zip(rows[i], rows[r])
-                ]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, nrows):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-        r += 1
-        col += 1
     return rank
 
 

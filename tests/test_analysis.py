@@ -153,6 +153,10 @@ class TestPointStatus:
         for k in (2, 3, 4, 5):
             assert point_status(coil, (0, 0), k).in_S_k
 
+    def test_horizon_below_one_is_refused(self, coil):
+        with pytest.raises(ValueError, match="horizon"):
+            point_status(coil, (1, 2), 0)
+
     def test_rational2d_excluded_locus(self, rational2d):
         # x1 = -u would be needed to define the first step; x0 with x1
         # arbitrary is fine, but the pinned matrix may degenerate at poles

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from accesskit.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_POLE, main
+from accesskit.cli import (
+    EXIT_ANALYSIS,
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_POLE,
+    main,
+)
 from conftest import SYSTEMS
 
 
@@ -177,3 +184,26 @@ class TestErrors:
     def test_bad_bind(self, capsys):
         code, _ = run(capsys, "check", path("coil"), "--bind", "nonsense")
         assert code == EXIT_PARSE
+
+    def test_horizon_below_one_is_a_usage_error(self, capsys):
+        for cmd in ("point", "rank"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, path("coil"), "--x", "0,0", "--k", "0"])
+            assert exc.value.code == EXIT_PARSE
+        assert "horizon must be >= 1" in capsys.readouterr().err
+
+
+class TestAnalysisFailure:
+    def test_analysis_error_is_not_a_parse_error(self, tmp_path, capsys):
+        # seven real singular points: vanishing_ideal in algorithm1 refuses
+        # more than six, an error of the analysis, not of the input
+        sevenpoint = tmp_path / "sevenpoint.sys"
+        sevenpoint.write_text(
+            "system sevenpoint\nstates x\ninputs u\n"
+            "x' = x + u*x*(x-1)*(x-2)*(x-3)*(x-4)*(x-5)*(x-6)\n"
+        )
+        code = main(["index", str(sevenpoint), "--exact-radical"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ANALYSIS
+        assert captured.out == ""
+        assert captured.err == "error: vanishing_ideal supports at most 6 points\n"

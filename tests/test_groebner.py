@@ -18,6 +18,7 @@ from accesskit import groebner
 from accesskit.analysis import _mixed_reduce
 from accesskit.errors import ResourceBudgetError, VerificationError
 from accesskit.groebner import MonomialOrder, _GBPoly, normal_form, vanishing_ideal
+from accesskit.realroots import _deflate
 from accesskit.ring import collect_by_class
 
 
@@ -225,6 +226,19 @@ class TestSolveZeroDim:
             env = {"x1": pt[0], "x2": pt[1]}
             for g in gens:
                 assert g.evaluate(env) == 0
+
+
+class TestDeflate:
+    # coefficients from the constant term up: x^2 - 1 = (x - 1)(x + 1)
+    SQUARE_MINUS_ONE = [Fraction(-1), Fraction(0), Fraction(1)]
+
+    def test_by_a_root(self):
+        assert _deflate(self.SQUARE_MINUS_ONE, Fraction(1)) == [1, 1]
+
+    def test_by_a_non_root_is_an_error(self):
+        # a runtime check, not an assert: it must survive `python -O`
+        with pytest.raises(VerificationError):
+            _deflate(self.SQUARE_MINUS_ONE, Fraction(2))
 
 
 class TestVanishingIdeal:
