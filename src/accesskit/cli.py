@@ -206,7 +206,7 @@ def main(argv=None):
     p.add_argument("--max-k", type=int, default=None)
 
     args = ap.parse_args(argv)
-    if args.command in ("point", "rank") and args.k < 1:
+    if args.command in ("point", "rank", "scan1d") and args.k < 1:
         ap.error("argument --k: the horizon must be >= 1")
     started = time.time()
     try:

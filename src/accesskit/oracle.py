@@ -51,7 +51,10 @@ class _NumericSystem:
     """Cached numeric evaluators for phi, A and B of a SystemModel."""
 
     def __init__(self, sys):
-        self.sys = sys
+        # names only: a reference to the model would make the cache entry
+        # a cycle, and the model would wait for the cyclic GC
+        self.states = sys.reg.states
+        self.inputs = sys.reg.inputs
         self.phi = [_compile(f) for f in sys.phi]
         A, B = jacobians(sys)
         self.A = [[_compile(e) for e in row] for row in A]
@@ -59,9 +62,9 @@ class _NumericSystem:
 
     def bindings(self, x, u, params):
         vals = dict(params)
-        for name, v in zip(self.sys.reg.states, x):
+        for name, v in zip(self.states, x):
             vals[name] = float(v)
-        for name, v in zip(self.sys.reg.inputs, u):
+        for name, v in zip(self.inputs, u):
             vals[name] = float(v)
         return vals
 

@@ -215,10 +215,11 @@ class VariableRegistry:
         return self.const(1)
 
     def const(self, c):
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if not c:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.arity: c})
+            return Polynomial(self, {}, _clean=True)
+        return Polynomial(self, {(0,) * self.arity: c}, _clean=True)
 
     def var(self, name):
         i = self.index(name)
@@ -590,9 +591,46 @@ def _heu_genpoly(terms, i, xi):
     return out
 
 
+def _used(terms):
+    used = set()
+    for e in terms:
+        used.update(i for i, x in enumerate(e) if x)
+    return used
+
+
+def _degree_box(terms):
+    """Per-variable maximum exponent over the monomials of a term map."""
+    return tuple(map(max, zip(*terms)))
+
+
+def _quotient_box(terms, divisor):
+    """Degree box of the quotient if ``divisor`` divides ``terms`` exactly.
+
+    Degrees in each variable add under multiplication, so every term of an
+    exact quotient lies inside this box; None when even the degrees rule
+    the division out.
+    """
+    box = tuple(a - b for a, b in zip(_degree_box(terms), _degree_box(divisor)))
+    return None if min(box) < 0 else box
+
+
 def _divides_int(cand, terms):
-    """Integer-exact polynomial division test of terms by cand."""
-    ed = max(cand, key=grevlex_key)
+    """Integer-exact polynomial division test of terms by cand.
+
+    The quotient of an exact division is the same in every monomial order,
+    so the loop divides in lex order (plain tuple comparison).  A quotient
+    term outside the quotient's degree box proves the division inexact.
+    """
+    if len(cand) == 1:
+        ((ed, cd),) = cand.items()
+        return all(
+            c % cd == 0 and all(a >= b for a, b in zip(e, ed))
+            for e, c in terms.items()
+        )
+    box = _quotient_box(terms, cand)
+    if box is None:
+        return False
+    ed = max(cand)
     cd = cand[ed]
     r = dict(terms)
     steps = 0
@@ -600,12 +638,14 @@ def _divides_int(cand, terms):
         steps += 1
         if steps > 20000:
             return False
-        e = max(r, key=grevlex_key)
+        e = max(r)
         c = r[e]
-        if any(a < b for a, b in zip(e, ed)) or c % cd:
+        if c % cd:
+            return False
+        s = tuple(a - b for a, b in zip(e, ed))
+        if any(a < 0 or a > b for a, b in zip(s, box)):
             return False
         q = c // cd
-        s = tuple(a - b for a, b in zip(e, ed))
         for ce, cc in cand.items():
             t = tuple(a + b for a, b in zip(s, ce))
             v = r.get(t, 0) - q * cc
@@ -623,10 +663,7 @@ def _heu_gcd(reg, fterms, gterms):
     content carries the gcd's dependence on the outer variables, so only
     the caller may take a primitive part.
     """
-    vars_ = set()
-    for terms in (fterms, gterms):
-        for e in terms:
-            vars_.update(i for i, x in enumerate(e) if x)
+    vars_ = _used(fterms) | _used(gterms)
     if not vars_:
         return {(0,) * reg.arity: math.gcd(*(abs(c) for c in fterms.values()),
                                            *(abs(c) for c in gterms.values()))}
@@ -705,6 +742,8 @@ def _monomial_and_heu_gcd(f, g):
     else:
         fi = _int_scale(f)
         gi = _int_scale(g)
+        if _coprime(fi, gi):
+            return mono if mono is not None else reg.one()
         cand = _heu_gcd(reg, fi, gi)
         if cand is None:
             return None
@@ -712,6 +751,87 @@ def _monomial_and_heu_gcd(f, g):
             reg, {e: Fraction(c) for e, c in cand.items()}, _clean=True
         ).primitive()[0]
     return core * mono if mono is not None else core
+
+
+# The prime of the coprimality certificate.
+_P61 = 2**61 - 1
+
+
+def _coprime_point(n):
+    """The fixed point at which `_coprime` evaluates, one residue per variable."""
+    return [0x9E3779B97F4A7C15 * (j + 1) % _P61 for j in range(n)]
+
+
+def _coprime(fterms, gterms):
+    """True only when the integer term maps f and g are proven coprime.
+
+    Let h = gcd(f, g).  A variable that f or g does not use cannot occur in
+    h.  For each variable x_i used by both, the other variables are set to
+    a fixed point modulo the prime p = 2^61 - 1.  If the leading
+    coefficients of f and g in x_i do not vanish there, neither does h's,
+    so h's image keeps its x_i-degree and divides the images of f and g in
+    F_p[x_i]; a constant gcd of those images proves deg_i h = 0 (Brown,
+    JACM 1971).  False means "not proven", never "not coprime".
+    """
+    shared = _used(fterms) & _used(gterms)
+    if not shared:
+        return True
+    point = _coprime_point(len(next(iter(fterms))))
+    powers = {}
+    fimages = _images_mod_p(fterms, shared, point, powers)
+    gimages = _images_mod_p(gterms, shared, point, powers)
+    for i in shared:
+        fi, gi = fimages[i], gimages[i]
+        if not fi[-1] or not gi[-1]:
+            return False  # a leading coefficient vanishes at the point
+        if _gcd_degree_mod_p(fi, gi):
+            return False
+    return True
+
+
+def _images_mod_p(terms, shared, point, powers):
+    """For each i in shared, the dense image of terms in F_p[x_i] (constant
+    term first) with every other variable set to point; ``powers`` caches
+    point[j]^k mod p across calls."""
+    images = {i: {} for i in shared}
+    for e, c in terms.items():
+        factors = []
+        for j, k in enumerate(e):
+            if k:
+                a = powers.get((j, k))
+                if a is None:
+                    a = powers[(j, k)] = pow(point[j], k, _P61)
+                factors.append((j, a))
+        for i in shared:
+            v = c
+            for j, a in factors:
+                if j != i:
+                    v = v * a % _P61
+            img = images[i]
+            img[e[i]] = (img.get(e[i], 0) + v) % _P61
+    return {
+        i: [img.get(d, 0) for d in range(max(img) + 1)] for i, img in images.items()
+    }
+
+
+def _gcd_degree_mod_p(a, b):
+    """Degree of gcd(a, b) in F_p[x]; dense lists with nonzero tops."""
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _P61)
+        db = len(b) - 1
+        a = list(a)
+        while len(a) > db:
+            q = a.pop() * inv % _P61
+            off = len(a) - db
+            if q:
+                for k in range(db):
+                    a[off + k] = (a[off + k] - q * b[k]) % _P61
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return db
+        a, b = b, a
+    return 0
 
 
 def _int_scale(p):
@@ -753,7 +873,11 @@ def _prs_gcd(f, g):
 
 
 def divexact(p, d):
-    """Exact polynomial division; raises ExactDivisionError on failure."""
+    """Exact polynomial division; raises ExactDivisionError on failure.
+
+    Divides in lex order, like `_divides_int`: an exact quotient is the
+    same in every monomial order.
+    """
     p, d = unify(p, d)
     if d.is_zero:
         raise ZeroPolynomialError("division by the zero polynomial")
@@ -761,19 +885,31 @@ def divexact(p, d):
         return p
     if d.is_constant:
         return p * (1 / d.constant_value())
-    ed, cd = d.leading()
+    if len(d.terms) == 1:
+        ((ed, cd),) = d.terms.items()
+        q = {}
+        for e, c in p.terms.items():
+            s = tuple(x - y for x, y in zip(e, ed))
+            if min(s) < 0:
+                raise ExactDivisionError("inexact polynomial division")
+            q[s] = c / cd
+        return Polynomial(p.reg, q, _clean=True)
+    box = _quotient_box(p.terms, d.terms)
+    if box is None:
+        raise ExactDivisionError("inexact polynomial division")
+    ed = max(d.terms)
+    cd = d.terms[ed]
     r = dict(p.terms)
     q = {}
     while r:
-        e = max(r, key=grevlex_key)
-        c = r[e]
-        if any(x < y for x, y in zip(e, ed)):
-            raise ExactDivisionError("inexact polynomial division")
+        e = max(r)
         s = tuple(x - y for x, y in zip(e, ed))
-        cc = c / cd
+        if any(x < 0 or x > y for x, y in zip(s, box)):
+            raise ExactDivisionError("inexact polynomial division")
+        cc = r[e] / cd
         q[s] = cc
         _addmul_terms(r, -cc, s, d.terms)
-    return Polynomial(p.reg, q)
+    return Polynomial(p.reg, q, _clean=True)
 
 
 def square_free_part(p):
@@ -828,10 +964,11 @@ class RationalFunction:
         if num.is_zero:
             den = num.reg.one()
         else:
-            g = poly_gcd(num, den)
-            if not (g.is_constant and g.constant_value() == 1):
-                num = divexact(num, g)
-                den = divexact(den, g)
+            if not den.is_constant:
+                g = poly_gcd(num, den)
+                if not (g.is_constant and g.constant_value() == 1):
+                    num = divexact(num, g)
+                    den = divexact(den, g)
             c = den.signed_content()
             if c != 1:
                 num = num * (1 / c)

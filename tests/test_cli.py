@@ -186,11 +186,15 @@ class TestErrors:
         assert code == EXIT_PARSE
 
     def test_horizon_below_one_is_a_usage_error(self, capsys):
-        for cmd in ("point", "rank"):
+        for argv in (
+            ["point", path("coil"), "--x", "0,0"],
+            ["rank", path("coil"), "--x", "0,0"],
+            ["scan1d", path("sinemap")],
+        ):
             with pytest.raises(SystemExit) as exc:
-                main([cmd, path("coil"), "--x", "0,0", "--k", "0"])
+                main(argv + ["--k", "0"])
             assert exc.value.code == EXIT_PARSE
-        assert "horizon must be >= 1" in capsys.readouterr().err
+            assert "horizon must be >= 1" in capsys.readouterr().err
 
 
 class TestAnalysisFailure:

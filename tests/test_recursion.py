@@ -17,6 +17,7 @@ from accesskit import (
     numeric_access_matrix,
     parse_system,
     point_status,
+    simulate,
     to_system_model,
 )
 from accesskit.analysis import _point_matrix, _sample_matrix
@@ -125,7 +126,7 @@ class TestEngineAgreement:
 class TestModelsFreed:
     """No reference cycle keeps a dropped model alive: the matrix walk
     caches plain per-step data, never a generator or a closure over the
-    model."""
+    model, and the numeric oracle's cache holds no reference back to it."""
 
     def _freed(self, name, analyse):
         model = load_model(name)
@@ -143,5 +144,10 @@ class TestModelsFreed:
             assert self._freed("coil", lambda m: point_status(m, (0, 0), 3))
             assert self._freed("coil", lambda m: point_status(m, (1, 2), 3))
             assert self._freed("rational2d", lambda m: point_status(m, (0, 0), 2))
+            # the float oracle caches its compiled evaluators on the model
+            assert self._freed("fivestep", lambda m: simulate(m, [0, 1], [[1]]))
+            assert self._freed(
+                "fivestep", lambda m: numeric_access_matrix(m, [0, 1], [[1], [2]])
+            )
         finally:
             gc.enable()
