@@ -29,9 +29,7 @@ from .errors import (
 from .groebner import (
     Ideal,
     MonomialOrder,
-    groebner_basis,
     ideal_equal,
-    ideal_sum,
     radical_heuristic,
     solve_zero_dim,
 )
@@ -60,12 +58,9 @@ from .sysfile import (
     to_system_model,
 )
 from .system import (
-    AccessMatrix,
     SystemModel,
     build_M,
-    coefficient_ideal,
     jacobians,
-    minors_and_coefficients,
     shift,
     submersivity_check,
     symbolic_rank,
@@ -74,7 +69,6 @@ from .system import (
 __all__ = [
     "__version__",
     "AccessKitError",
-    "AccessMatrix",
     "AnalysisReport",
     "DegenerateDenominatorError",
     "Ideal",
@@ -95,19 +89,15 @@ __all__ = [
     "algorithm2",
     "backward_analysis",
     "build_M",
-    "coefficient_ideal",
     "collect_by_class",
     "cumulative_ideal",
     "default_max_k",
     "generic_accessibility",
     "grid_scan_1d",
-    "groebner_basis",
     "ideal_equal",
-    "ideal_sum",
     "invariance_check",
     "jacobian_rank",
     "jacobians",
-    "minors_and_coefficients",
     "numeric_access_matrix",
     "parse_system",
     "point_status",

@@ -15,12 +15,12 @@ from functools import partial
 from itertools import combinations
 
 from .groebner import (
-    CERT_EXACT,
     DEFAULT_ORDER,
     Ideal,
     normal_form,
     radical_heuristic,
     solve_zero_dim,
+    to_state_ring,
 )
 from .errors import (
     DegenerateDenominatorError,
@@ -28,13 +28,13 @@ from .errors import (
     PoleError,
     ZeroPolynomialError,
 )
-from .ring import RationalFunction, collect_by_class
+from .ring import RationalFunction, collect_by_class, square_free_part
 from .system import (
     bareiss_determinant,
     build_M,
-    coefficient_ideal,
     flow_env,
-    minors_and_coefficients,
+    minor_determinants,
+    state_only_content,
     submersivity_check,
     symbolic_rank,
     walk_matrix,
@@ -44,7 +44,7 @@ from .system import (
 @dataclass
 class ChainState:
     """Progress of an ideal chain: current horizon, current ideal, and the
-    per-step history as (k, reduced basis, certification) triples."""
+    per-step history as (k, reduced basis) pairs."""
 
     k: int
     ideal: Ideal
@@ -53,9 +53,7 @@ class ChainState:
     def record(self, k, ideal):
         self.k = k
         self.ideal = ideal
-        self.history.append(
-            (k, tuple(ideal.groebner_basis()), ideal.certification)
-        )
+        self.history.append((k, tuple(ideal.groebner_basis())))
 
 
 @dataclass
@@ -86,7 +84,6 @@ class AnalysisReport:
     r_star_certified: bool | None = None
     singular_set: SingularSet | None = None
     excluded_locus: list = field(default_factory=list)
-    certification: str = CERT_EXACT
     chain: ChainState | None = None
 
 
@@ -104,29 +101,46 @@ def default_max_k(sys):
     return 2 * sys.n + 4
 
 
-def _decomposition(sys, k):
-    key = ("dec", k)
+def _locus_factor(den):
+    """Square-free part of the input-free factor of a denominator, or None
+    when it is constant: the states where the entry has a pole for every
+    input."""
+    if den.is_constant:
+        return None
+    cont = state_only_content(den)
+    if cont.is_constant:
+        return None
+    sf = square_free_part(to_state_ring(cont))
+    return None if sf.is_constant else sf
+
+
+def _step(sys, k):
+    """The step-k record, built once per model: the minor-coefficient ideal
+    I_{M_k} (the input-monomial coefficients of the numerators of the n x n
+    minors of M_k) and the excluded-locus factors of M_k's entries and
+    minors, in first-seen order."""
+    key = ("step", k)
     if key not in sys._cache:
-        sys._cache[key] = minors_and_coefficients(build_M(sys, k), sys)
+        dets = minor_determinants(sys, k).values()
+        dens = [e.den for row in build_M(sys, k) for e in row]
+        dens += [d.den for d in dets]
+        locus = [f for f in map(_locus_factor, dens) if f is not None]
+        gens = [c for d in dets for c in collect_by_class(d.num, "input").values()]
+        sys._cache[key] = (Ideal(sys.reg, gens), list(dict.fromkeys(locus)))
     return sys._cache[key]
 
 
 def _step_ideal(sys, k):
-    key = ("I_M", k)
-    if key not in sys._cache:
-        sys._cache[key] = coefficient_ideal(_decomposition(sys, k), sys.reg)
-    return sys._cache[key]
+    return _step(sys, k)[0]
 
 
 def _locus_upto(sys, k):
-    out = []
-    seen = set()
-    for j in range(1, k + 1):
-        for p in _decomposition(sys, j).excluded_locus:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-    return out
+    """Excluded-locus factors of steps 1..k, in first-seen order.  A
+    polynomial map has none: every entry and minor has a constant
+    denominator."""
+    if all(f.is_polynomial for f in sys.phi):
+        return []
+    return list(dict.fromkeys(f for j in range(1, k + 1) for f in _step(sys, j)[1]))
 
 
 def _fast_chain_ok(sys):
@@ -197,10 +211,10 @@ def _new_step_generators(sys, k, current):
 
 
 def generic_accessibility(sys):
-    """Generic accessibility: the n-step accessibility matrix must reach
-    full generic rank n."""
-    M = build_M(sys, sys.n)
-    return symbolic_rank(M.entries) == sys.n
+    """Generic accessibility: M_n has generic rank n.  That holds exactly
+    when some n x n minor of M_n is nonzero, that is, when the step-n
+    minor-coefficient ideal has a generator."""
+    return bool(_new_step_generators(sys, sys.n, None))
 
 
 def _singular_description(ideal):
@@ -217,39 +231,29 @@ def _singular_description(ideal):
     return SingularSet(kind="generators", generators=gens, message=sol.message)
 
 
-def _entire_report(sys, mode, submersive):
-    return AnalysisReport(
-        system_name=sys.name,
-        mode=mode,
-        submersive=submersive,
-        generically_accessible=False,
-        singular_set=SingularSet(
-            kind="entire", message="not generically accessible"
-        ),
-        excluded_locus=_locus_upto(sys, sys.n),
-    )
-
-
 def algorithm2(sys, max_k=None, mode="forward"):
     """Stabilize the cumulative minor-coefficient ideal: the first horizon
     where adding the next step changes nothing gives kappa, and the zero set
     of the stabilized ideal is the set of never-accessible states."""
     max_k = max_k or default_max_k(sys)
-    submersive = submersivity_check(sys)
-    if not generic_accessibility(sys):
-        return _entire_report(sys, mode, submersive)
     n = sys.n
-    fast = _fast_chain_ok(sys)
-    current = Ideal(sys.reg, _new_step_generators(sys, n, None))
-    chain = ChainState(k=n, ideal=current)
-    chain.record(n, current)
     report = AnalysisReport(
         system_name=sys.name,
         mode=mode,
-        submersive=submersive,
-        generically_accessible=True,
-        chain=chain,
+        submersive=submersivity_check(sys),
+        generically_accessible=False,
     )
+    gens = _new_step_generators(sys, n, None)
+    if not gens:
+        report.singular_set = SingularSet(
+            kind="entire", message="not generically accessible"
+        )
+        report.excluded_locus = _locus_upto(sys, n)
+        return report
+    report.generically_accessible = True
+    current = Ideal(sys.reg, gens)
+    chain = report.chain = ChainState(k=n, ideal=current)
+    chain.record(n, current)
     k = n
     while k < max_k:
         new = _new_step_generators(sys, k + 1, current)
@@ -262,8 +266,7 @@ def algorithm2(sys, max_k=None, mode="forward"):
         chain.record(k, current)
     else:
         report.budget_exhausted = True
-    if not fast:
-        report.excluded_locus = _locus_upto(sys, min(k + 1, max_k))
+    report.excluded_locus = _locus_upto(sys, min(k + 1, max_k))
     if report.kappa is not None:
         report.singular_set = _singular_description(current)
     return report
@@ -274,11 +277,11 @@ def algorithm1(sys, max_k=None):
     per-step minor-coefficient ideal stops growing is the accessibility
     index r*.  Returns (r_star, final ideal, certified)."""
     max_k = max_k or default_max_k(sys)
-    if not generic_accessibility(sys):
-        return None, Ideal(sys.reg, []), True
     n = sys.n
-    current, cert = radical_heuristic(_step_ideal(sys, n))
-    certified = cert
+    step = _step_ideal(sys, n)
+    if step.is_zero_ideal:  # not generically accessible
+        return None, step, True
+    current, certified = radical_heuristic(step)
     k = n
     while k < max_k:
         nxt, cert = radical_heuristic(_step_ideal(sys, k + 1))

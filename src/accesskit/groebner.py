@@ -10,7 +10,6 @@ parameters.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,25 +24,17 @@ from .ring import (
     _addmul_terms,
     _mul_terms,
     _scale_terms,
+    _split,
     divexact,
     grevlex_key,
     poly_gcd,
     square_free_part,
 )
 
-CERT_EXACT = "exact"
-CERT_HEURISTIC = "heuristic-radical"
-
-_DEGREE_CAP_ENV = "ACCESSKIT_GB_DEGREE_CAP"
-_STEP_CAP_ENV = "ACCESSKIT_GB_STEP_CAP"
-
-
-def _degree_cap():
-    return int(os.environ.get(_DEGREE_CAP_ENV, "64"))
-
-
-def _step_cap():
-    return int(os.environ.get(_STEP_CAP_ENV, "20000"))
+# Budgets: the largest total degree of a new basis element, and the most
+# pairs or normal-form steps one computation may take.
+_DEGREE_CAP = 64
+_STEP_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,18 @@ def to_state_ring(p):
     return Polynomial(base, {e[:k]: c for e, c in p.terms.items()}, _clean=True)
 
 
+def _groups_gcd(reg, groups):
+    """gcd of the polynomials whose term maps are the values of groups (a
+    `_split` of a polynomial): its content in the split-off variables."""
+    cont = None
+    for t in groups.values():
+        cp = Polynomial(reg, t, _clean=True)
+        cont = cp if cont is None else poly_gcd(cont, cp)
+        if cont.is_constant:
+            break
+    return cont
+
+
 def clear_param_content(p):
     """Remove the parameter-polynomial content of p.
 
@@ -121,20 +124,12 @@ def clear_param_content(p):
     reg = p.reg
     if p.is_zero:
         return p, reg.zero()
-    spos = list(reg.state_indices)
-    sset = set(spos)
-    groups = {}
-    for e, c in p.terms.items():
-        s = _project(e, spos)
-        rest = tuple(0 if i in sset else x for i, x in enumerate(e))
-        groups.setdefault(s, {})[rest] = c
-    cont = None
-    for t in groups.values():
-        cp = Polynomial(reg, t, _clean=True)
-        cont = cp if cont is None else poly_gcd(cont, cp)
-        if cont.is_constant:
-            break
-    if cont.is_constant:
+    spos = reg.state_indices
+    lo, hi = spos.start, spos.stop
+    cont = None  # a polynomial in the states alone: rational content only
+    if any(any(e[:lo]) or any(e[hi:]) for e in p.terms):
+        cont = _groups_gcd(reg, _split(p.terms, spos))
+    if cont is None or cont.is_constant:
         prim, c = p.primitive()
         return prim, reg.const(c)
     cont = cont.primitive()[0]
@@ -165,21 +160,6 @@ class _GBPoly:
         self.tail = [(m, _scale_terms(t, scale)) for m, t in groups.items()]
 
 
-def _split(terms, positions):
-    """Group a term map by state monomial.
-
-    Returns {projected state exponent: {rest exponent: coefficient}}, where
-    a rest exponent is the full exponent with the state positions zeroed.
-    """
-    groups = {}
-    for e, c in terms.items():
-        rest = list(e)
-        for i in positions:
-            rest[i] = 0
-        groups.setdefault(_project(e, positions), {})[tuple(rest)] = c
-    return groups
-
-
 def _lead_monomial(p, order, positions):
     """Leading state monomial of a nonzero p, projected to positions."""
     return max((_project(e, positions) for e in p.terms), key=order.key)
@@ -204,7 +184,7 @@ def normal_form(p, basis, order, positions, budget_steps=None, normalize=True):
     if p.is_zero:
         return p
     reg = p.reg
-    cap = budget_steps or _step_cap()
+    cap = budget_steps or _STEP_CAP
     key = order.key
     work = _split(p.terms, positions)
     rem = {}  # irreducible groups; all larger than anything left in work
@@ -263,7 +243,7 @@ def _spoly(f, g, order, positions, reg):
     return clear_param_content(s)[0] if not s.is_zero else s
 
 
-def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
+def buchberger(generators, order=DEFAULT_ORDER):
     """Reduced Groebner basis via Buchberger with sugar selection.
 
     Both classic pair criteria (coprime leading monomials; chain criterion)
@@ -276,8 +256,6 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
     reg = gens[0].reg
     gens = [g.lift(reg) if g.reg != reg else g for g in gens]
     positions = order.state_positions(reg)
-    degree_cap = degree_cap or _degree_cap()
-    step_cap = step_cap or _step_cap()
 
     seeds = []
     seen = set()
@@ -292,7 +270,7 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
     for g in seeds:
         r = g.poly
         if basis:
-            r = normal_form(r, basis, order, positions, budget_steps=step_cap)
+            r = normal_form(r, basis, order, positions, budget_steps=_STEP_CAP)
             if r.is_zero:
                 continue
             r = clear_param_content(r)[0]
@@ -313,7 +291,7 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
     steps = 0
     while pairs:
         steps += 1
-        if steps > step_cap:
+        if steps > _STEP_CAP:
             raise ResourceBudgetError(
                 "Groebner pair budget exceeded", partial=[g.poly for g in basis]
             )
@@ -348,12 +326,12 @@ def buchberger(generators, order=DEFAULT_ORDER, degree_cap=None, step_cap=None):
         s = _spoly(basis[i], basis[j], order, positions, reg)
         if s.is_zero:
             continue
-        r = normal_form(s, basis, order, positions, budget_steps=step_cap)
+        r = normal_form(s, basis, order, positions, budget_steps=_STEP_CAP)
         if r.is_zero:
             continue
-        if r.total_degree() > degree_cap:
+        if r.total_degree() > _DEGREE_CAP:
             raise ResourceBudgetError(
-                f"Groebner degree budget {degree_cap} exceeded",
+                f"Groebner degree budget {_DEGREE_CAP} exceeded",
                 partial=[g.poly for g in basis],
             )
         sugar = max(
@@ -405,7 +383,7 @@ def _interreduce(basis, order, positions, reg):
 class Ideal:
     """Finite generator set in the state ring with a cached reduced basis."""
 
-    def __init__(self, reg, generators, certification=CERT_EXACT):
+    def __init__(self, reg, generators):
         self.reg = VariableRegistry(reg.states, reg.inputs, reg.params, horizon=0)
         gens = []
         for g in generators:
@@ -415,7 +393,6 @@ class Ideal:
             if not g.is_zero:
                 gens.append(clear_param_content(g)[0])
         self.generators = tuple(dict.fromkeys(gens))
-        self.certification = certification
         self._gb_cache = {}
         self._reducers = {}
 
@@ -483,16 +460,8 @@ class Ideal:
         """Ideal sum: concatenated generators, inter-reduced."""
         if self.reg.key != other.reg.key:
             raise ValueError("ideal sum across different state rings")
-        reg = self.reg
-        gens = list(self.generators) + list(other.generators)
-        cert = (
-            CERT_EXACT
-            if self.certification == CERT_EXACT and other.certification == CERT_EXACT
-            else CERT_HEURISTIC
-        )
-        summed = Ideal(reg, gens, certification=cert)
-        reduced = summed.groebner_basis()
-        return Ideal(reg, reduced, certification=cert)
+        summed = Ideal(self.reg, self.generators + other.generators)
+        return Ideal(self.reg, summed.groebner_basis())
 
     def contains_one(self):
         gb = self.groebner_basis()
@@ -589,7 +558,7 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER, rng=None):
     ideal, monomial ideals, linear bases, and zero-dimensional ideals with
     rational real points (vanishing ideal reconstruction).  The principal
     square-free case is certified on witness evidence (sign changes plus a
-    finite singular locus) and is flagged `heuristic-radical`.
+    finite singular locus).
     """
     rng = rng or random.Random(0x5EED)
     reg = ideal.reg
@@ -604,25 +573,25 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER, rng=None):
             continue
         new_gens.append(square_free_part(g))
 
-    J = Ideal(reg, new_gens, certification=CERT_HEURISTIC)
+    J = Ideal(reg, new_gens)
     gb = J.groebner_basis(order)
 
     # trivial ideal
     if J.contains_one():
-        return Ideal(reg, [reg.one()], certification=CERT_EXACT), True
+        return Ideal(reg, [reg.one()]), True
     # monomial ideal: radical is exact
     if _is_monomial_set(gb):
-        R = Ideal(reg, _radical_of_monomials(gb), certification=CERT_EXACT)
+        R = Ideal(reg, _radical_of_monomials(gb))
         return R, True
     # linear basis: real radical equals the ideal itself
     if all(g.total_degree() <= 1 for g in gb):
-        return Ideal(reg, gb, certification=CERT_EXACT), True
+        return Ideal(reg, gb), True
     # zero-dimensional: rebuild the vanishing ideal of the real points
     if not J.uses_parameters() and J.is_zero_dimensional(order):
         sol = solve_zero_dim(J, order)
         if sol.status == "points":
             if not sol.points:
-                return Ideal(reg, [reg.one()], certification=CERT_EXACT), True
+                return Ideal(reg, [reg.one()]), True
             V = vanishing_ideal(reg, sol.points)
             return V, True
     # principal square-free hypersurface: witness-based certification
@@ -632,7 +601,6 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER, rng=None):
             sing = Ideal(
                 reg,
                 [q] + [q.diff(reg.name(i)) for i in sorted(q.variables_used())],
-                certification=CERT_HEURISTIC,
             )
             finite_sing = sing.contains_one() or sing.is_zero_dimensional(order)
             if finite_sing and _sign_change_witness(q, rng):
@@ -663,7 +631,7 @@ def vanishing_ideal(reg, points):
     """Vanishing ideal of a finite set of rational state points."""
     state_names = list(reg.states)
     if not points:
-        return Ideal(reg, [reg.one()], certification=CERT_EXACT)
+        return Ideal(reg, [reg.one()])
     if len(points) > 6:
         raise ValueError("vanishing_ideal supports at most 6 points")
     per_point = [
@@ -679,8 +647,8 @@ def vanishing_ideal(reg, points):
             build(i + 1, acc * lin)
 
     build(0, reg.one())
-    I = Ideal(reg, gens, certification=CERT_EXACT)
-    return Ideal(reg, I.groebner_basis(), certification=CERT_EXACT)
+    I = Ideal(reg, gens)
+    return Ideal(reg, I.groebner_basis())
 
 
 def solve_zero_dim(ideal, order=DEFAULT_ORDER):
@@ -812,14 +780,6 @@ def _substitute_var(g, idx, value):
     return Polynomial(g.reg, out)
 
 
-def groebner_basis(ideal, order=DEFAULT_ORDER):
-    """Module-level convenience wrapper."""
-    return ideal.groebner_basis(order)
-
-
 def ideal_equal(a, b, order=DEFAULT_ORDER):
     return a.equal(b, order)
 
-
-def ideal_sum(a, b):
-    return a + b

@@ -929,21 +929,36 @@ def square_free_part(p):
     return divexact(pp, h).primitive()[0]
 
 
+def _split(terms, positions):
+    """Group a term map by its exponents at the given positions.
+
+    Returns {projected exponent: {rest exponent: coefficient}}, where a
+    rest exponent is the full exponent with those positions zeroed.
+    """
+    groups = {}
+    for e, c in terms.items():
+        rest = list(e)
+        for i in positions:
+            rest[i] = 0
+        groups.setdefault(tuple(e[i] for i in positions), {})[tuple(rest)] = c
+    return groups
+
+
 def collect_by_class(p, kind):
     """Group terms by the monomial in variables of the given class.
 
     Returns a map (monomial Polynomial in class variables) -> Polynomial in
     the remaining variables; the products summed over the map reconstruct p.
     """
-    idx = set(p.reg.class_indices(kind))
+    reg = p.reg
+    positions = reg.class_indices(kind)
     out = {}
-    for e, c in p.terms.items():
-        key = tuple(x if i in idx else 0 for i, x in enumerate(e))
-        rest = tuple(0 if i in idx else x for i, x in enumerate(e))
-        out.setdefault(key, {})[rest] = c
-    return {
-        p.reg.monomial(k): Polynomial(p.reg, t, _clean=True) for k, t in out.items()
-    }
+    for proj, t in _split(p.terms, positions).items():
+        e = [0] * reg.arity
+        for i, x in zip(positions, proj):
+            e[i] = x
+        out[reg.monomial(e)] = Polynomial(reg, t, _clean=True)
+    return out
 
 
 class RationalFunction:

@@ -214,22 +214,7 @@ class SystemSpecFile:
     numeric_only: bool = False
 
     def free_names(self):
-        out = set()
-
-        def walk(node):
-            if isinstance(node, Var) and node.name != "pi":
-                out.add(node.name)
-            elif isinstance(node, BinOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (Neg,)):
-                walk(node.operand)
-            elif isinstance(node, Call):
-                walk(node.arg)
-
-        for ast in self.updates.values():
-            walk(ast)
-        return out
+        return set().union(*map(_names_of, self.updates.values())) - {"pi"}
 
 
 def parse_system(text):

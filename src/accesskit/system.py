@@ -10,20 +10,19 @@ an ideal, state pinned, or exact samples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .groebner import CERT_EXACT, Ideal, to_state_ring
+from .groebner import _groups_gcd
 from .ring import (
+    INPUT,
     Polynomial,
     RationalFunction,
     VariableRegistry,
-    collect_by_class,
+    _split,
     divexact,
     poly_gcd,
-    square_free_part,
 )
 
 
@@ -134,22 +133,6 @@ def jacobians(sys):
     return sys._cache[key]
 
 
-@dataclass
-class AccessMatrix:
-    """n x (k*m) matrix whose generic rank decides k-step accessibility."""
-
-    k: int
-    entries: list  # rows of RationalFunction
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-
 def flow_env(reg, x, t):
     """Step-t environment of the symbolic walk: the states bound to x and
     each input to its time-t copy, over the horizon-(t+1) registry."""
@@ -205,7 +188,8 @@ def walk_matrix(sys, x, k, bind, ev, reduce=None):
 
 
 def build_M(sys, k):
-    """Accessibility matrix M_k over the rational functions (k >= 1).
+    """Accessibility matrix M_k over the rational functions (k >= 1): n
+    rows of k*m RationalFunction entries.
 
     The walk is cached on the model as plain per-step data: M_k, A<k-1>
     (for `minor_determinants`) and the point to resume from."""
@@ -223,7 +207,7 @@ def build_M(sys, k):
         )
         for t, (env, A_t, M) in enumerate(steps, t):
             cache["A", t] = A_t
-            cache["M", t + 1] = AccessMatrix(t + 1, M)
+            cache["M", t + 1] = M
             if t + 1 == k:
                 break
         cache["walk"] = (k, env, M)
@@ -317,48 +301,12 @@ def _det_rational(entries):
     return RationalFunction(det_poly, den_total)
 
 
-@dataclass
-class Minor:
-    """One n x n submatrix: column set, determinant numerator and its
-    input-monomial decomposition (monomial -> state-coefficient)."""
-
-    columns: tuple
-    numerator: Polynomial
-    coefficients: dict
-
-
-@dataclass
-class MinorDecomposition:
-    k: int
-    minors: list
-    excluded_locus: list = field(default_factory=list)
-
-    def all_coefficients(self):
-        out = []
-        for m in self.minors:
-            out.extend(m.coefficients.values())
-        return out
-
-
 def state_only_content(p):
     """Largest factor of p free of input variables (content in the inputs)."""
-    reg = p.reg
-    ipos = [i for i in range(reg.arity) if reg.kind(i) == "input"]
+    ipos = p.reg.class_indices(INPUT)
     if not ipos:
         return p
-    iset = set(ipos)
-    groups = {}
-    for e, c in p.terms.items():
-        ie = tuple(e[i] for i in ipos)
-        rest = tuple(0 if i in iset else x for i, x in enumerate(e))
-        groups.setdefault(ie, {})[rest] = c
-    cont = None
-    for t in groups.values():
-        cp = Polynomial(reg, t, _clean=True)
-        cont = cp if cont is None else poly_gcd(cont, cp)
-        if cont.is_constant:
-            break
-    return cont
+    return _groups_gcd(p.reg, _split(p.terms, ipos))
 
 
 def minor_determinants(sys, k):
@@ -375,70 +323,20 @@ def minor_determinants(sys, k):
     M = build_M(sys, k)
     n, m = sys.n, sys.m
     out = {}
-    if M.cols >= n:
+    if k * m >= n:
         old_cols = (k - 1) * m
         old = minor_determinants(sys, k - 1) if k > 1 and old_cols >= n else None
         det_a = None
-        for colset in combinations(range(M.cols), n):
+        for colset in combinations(range(k * m), n):
             if old is not None and all(c < old_cols for c in colset):
                 if det_a is None:
                     det_a = _det_rational(sys._cache["A", k - 1])
                 out[colset] = det_a * old[colset]
             else:
-                sub = [[M.entries[i][j] for j in colset] for i in range(n)]
+                sub = [[M[i][j] for j in colset] for i in range(n)]
                 out[colset] = _det_rational(sub)
     sys._cache[key] = out
     return out
-
-
-def minors_and_coefficients(M, sys=None):
-    """All C(k*m, n) minors of the accessibility matrix with the numerators
-    decomposed into input monomials times state-coefficient polynomials."""
-    n = M.rows
-    cols = M.cols
-    minors = []
-    locus = []
-    seen_locus = set()
-
-    def note_locus(den):
-        if den.is_constant:
-            return
-        cont = state_only_content(den)
-        if cont is None or cont.is_constant:
-            return
-        sf = square_free_part(to_state_ring(cont))
-        if sf.is_constant:
-            return
-        if sf not in seen_locus:
-            seen_locus.add(sf)
-            locus.append(sf)
-
-    for row in M.entries:
-        for e in row:
-            note_locus(e.den)
-    if cols < n:
-        return MinorDecomposition(M.k, [], locus)
-    dets = minor_determinants(sys, M.k) if sys is not None else None
-    for colset in combinations(range(cols), n):
-        if dets is not None:
-            det = dets[colset]
-        else:
-            sub = [[M.entries[i][j] for j in colset] for i in range(n)]
-            det = _det_rational(sub)
-        note_locus(det.den)
-        num = det.num
-        coeffs = {}
-        if not num.is_zero:
-            for mono, coeff in collect_by_class(num, "input").items():
-                coeffs[mono] = coeff
-        minors.append(Minor(colset, num, coeffs))
-    return MinorDecomposition(M.k, minors, locus)
-
-
-def coefficient_ideal(dec, reg):
-    """Ideal generated by all state-coefficient polynomials of the minors."""
-    gens = [c for c in dec.all_coefficients() if not c.is_zero]
-    return Ideal(reg, gens, certification=CERT_EXACT)
 
 
 def symbolic_rank(entries):

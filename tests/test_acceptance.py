@@ -248,7 +248,7 @@ class TestCriterion4Fivestep:
                 ("(0,1) not in S_5", not v5.in_S_k and not v5.undefined),
                 (
                     "generically accessible with M_2",
-                    symbolic_rank(build_M(fivestep, 2).entries) == 2,
+                    symbolic_rank(build_M(fivestep, 2)) == 2,
                 ),
             ],
         )
@@ -257,7 +257,7 @@ class TestCriterion4Fivestep:
 class TestCriterion5Drift:
     def test_criterion_5(self, drift, capsys):
         ranks_deficient = all(
-            symbolic_rank(build_M(drift, k).entries) < 2 for k in (2, 3, 4, 5)
+            symbolic_rank(build_M(drift, k)) < 2 for k in (2, 3, 4, 5)
         )
         verdict(
             capsys,

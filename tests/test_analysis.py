@@ -11,12 +11,48 @@ from accesskit import (
     algorithm1,
     algorithm2,
     backward_analysis,
+    build_M,
     cumulative_ideal,
     generic_accessibility,
     ideal_equal,
     invariance_check,
+    parse_system,
     point_status,
+    symbolic_rank,
+    to_system_model,
 )
+from accesskit.analysis import _fast_chain_ok
+
+
+def _model(text):
+    return to_system_model(parse_system(text))
+
+
+# Maps that are not generically accessible: a state the input never
+# reaches, and an input that enters both states alike, so every minor's
+# input term cancels (parametric and rational versions).
+NOT_GA = [
+    "system uncontrolled\nstates x1 x2\ninputs u\nx1' = x1 + u\nx2' = 2*x2\n",
+    "system cancelling\nparams T\nstates x1 x2\ninputs u\n"
+    "x1' = x1 + T*u\nx2' = x2 + T*u\n",
+    "system cancelling_rational\nstates x1 x2\ninputs u\n"
+    "x1' = x1 + u/(x2 + 1)\nx2' = x2 + u/(x2 + 1)\n",
+]
+
+
+def _random_map(rng):
+    """A two-state map, polynomial or rational, parametric or not, whose
+    input may miss the second state."""
+    c = lambda: rng.randint(-2, 2)
+    T = rng.choice(["T", "3"])
+    g = rng.choice(["x1", "x2", "x1*x2", "(x1 + x2)", f"{T}*x1", "0", f"{T} - 1"])
+    den = rng.choice(["1", "(x1 + 1)", "(u + x2 + 2)", f"({T} + x1*x1)"])
+    params = "params T\n" if T == "T" else ""
+    return _model(
+        f"system draw\n{params}states x1 x2\ninputs u\n"
+        f"x1' = ({c()})*x1 + ({c()})*x2 + ({c()})*u/{den}\n"
+        f"x2' = ({c()})*x1*x2 + ({c()})*x2 + u*{g}\n"
+    )
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +79,25 @@ class TestGenericAccessibility:
 
     def test_fivestep(self, fivestep):
         assert generic_accessibility(fivestep)
+
+    def test_matches_rank_definition(
+        self, coil, coil_reversed, rational2d, fivestep, drift, integrator
+    ):
+        # the reference definition: M_n has generic rank n
+        rank_n = lambda sys: symbolic_rank(build_M(sys, sys.n)) == sys.n
+        corpus = [coil, coil_reversed, rational2d, fivestep, drift, integrator]
+        for sys in corpus + [_model(t) for t in NOT_GA]:
+            assert generic_accessibility(sys) == rank_n(sys), sys.name
+        assert not any(generic_accessibility(_model(t)) for t in NOT_GA)
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(40):
+            sys = _random_map(rng)
+            want = rank_n(sys)
+            assert generic_accessibility(sys) == want, sys.phi
+            seen.add((want, _fast_chain_ok(sys)))
+        # both verdicts on both chain engines
+        assert seen == {(a, b) for a in (True, False) for b in (True, False)}
 
 
 class TestStabilizationChain:
@@ -100,6 +155,29 @@ class TestStabilizationChain:
             assert ideal_equal(
                 cumulative_ideal(sys, kappa), cumulative_ideal(sys, kappa + 1)
             )
+
+
+class TestExcludedLocus:
+    def test_single_state_factor(self):
+        sys = _model(
+            "system locus\nstates x1 x2\ninputs u\nx1' = x2 + u/x1\nx2' = x1\n"
+        )
+        r = algorithm2(sys)
+        assert r.kappa == 2
+        assert [str(p) for p in r.excluded_locus] == ["x1"]
+
+    def test_factors_in_first_seen_order(self):
+        sys = _model(
+            "system locus2\nstates x1 x2\ninputs u\n"
+            "x1' = x2 + u/x1\nx2' = x1 + u/(x2 + 1)\n"
+        )
+        r = algorithm2(sys)
+        assert r.kappa == 2
+        assert [str(p) for p in r.excluded_locus] == ["x1", "x2 + 1"]
+
+    def test_polynomial_map_has_none(self, coil_report, drift):
+        assert coil_report.excluded_locus == []
+        assert algorithm2(drift).excluded_locus == []
 
 
 class TestAccessibilityIndex:

@@ -10,14 +10,19 @@ from accesskit import (
     Polynomial,
     VariableRegistry,
     ideal_equal,
-    ideal_sum,
     radical_heuristic,
     solve_zero_dim,
 )
 from accesskit import groebner
 from accesskit.analysis import _mixed_reduce
 from accesskit.errors import ResourceBudgetError, VerificationError
-from accesskit.groebner import MonomialOrder, _GBPoly, normal_form, vanishing_ideal
+from accesskit.groebner import (
+    MonomialOrder,
+    _GBPoly,
+    clear_param_content,
+    normal_form,
+    vanishing_ideal,
+)
 from accesskit.realroots import _deflate
 from accesskit.ring import collect_by_class
 
@@ -129,21 +134,32 @@ class TestIdealEqual:
 class TestIdealSum:
     def test_union_of_generators(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
-        s = ideal_sum(Ideal(reg, [x1]), Ideal(reg, [x2]))
+        s = Ideal(reg, [x1]) + Ideal(reg, [x2])
         assert ideal_equal(s, Ideal(reg, [x1, x2]))
 
     def test_zero_ideal_is_identity(self, reg):
         x1 = reg.var("x1")
         I = Ideal(reg, [x1])
-        assert ideal_equal(ideal_sum(I, Ideal(reg, [])), I)
+        assert ideal_equal(I + Ideal(reg, []), I)
 
-    def test_certification_weakest_wins(self, reg):
-        from accesskit.groebner import CERT_HEURISTIC
 
+class TestClearParamContent:
+    def test_parameter_free_gives_primitive_and_rational_content(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
-        a = Ideal(reg, [x1])
-        b = Ideal(reg, [x2], certification=CERT_HEURISTIC)
-        assert ideal_sum(a, b).certification == CERT_HEURISTIC
+        half = reg.const(Fraction(1, 2))
+        for p in (x1 * x2 + x2, -3 * x1 + 6 * x2, half * x1 * x1 - x2):
+            prim, cont = clear_param_content(p)
+            want, c = p.primitive()
+            assert prim == want and cont == reg.const(c)
+        assert clear_param_content(reg.const(-4)) == (reg.one(), reg.const(-4))
+
+    def test_parametric_content_is_kept(self, reg):
+        x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
+        assert clear_param_content(T * x1 + T * x2) == (x1 + x2, T)
+        prim, cont = clear_param_content(2 * T * T * x1 - 4 * T * x2)
+        assert (prim, cont) == (T * x1 - 2 * x2, 2 * T)
+        # coprime coefficient polynomials: only the rational content leaves
+        assert clear_param_content(T * x1 + x2) == (T * x1 + x2, reg.one())
 
 
 class TestRadicalHeuristic:

@@ -64,7 +64,7 @@ class TestDomainAgreement:
                 inputs = dict(zip(names, (v for step in us for v in step)))
                 try:
                     symbolic = _evaluate(
-                        build_M(sys, k).entries,
+                        build_M(sys, k),
                         {**dict(zip(sys.reg.states, x)), **inputs},
                     )
                     pinned = _evaluate(_point_matrix(sys, x, k), inputs)
@@ -106,7 +106,7 @@ class TestEngineAgreement:
     def _check(self, sys, max_k):
         report = algorithm2(sys, max_k=max_k)
         assert report.chain is not None
-        for k, basis, _cert in report.chain.history:
+        for k, basis in report.chain.history:
             assert ideal_equal(Ideal(sys.reg, list(basis)), cumulative_ideal(sys, k)), (
                 sys.phi,
                 k,

@@ -13,16 +13,16 @@ from accesskit import (
     SystemModel,
     VariableRegistry,
     build_M,
-    coefficient_ideal,
     ideal_equal,
     jacobians,
-    minors_and_coefficients,
     numeric_access_matrix,
     shift,
     submersivity_check,
     symbolic_rank,
 )
+from accesskit.analysis import _step_ideal
 from accesskit.oracle import finite_difference_jacobian
+from accesskit.system import minor_determinants
 
 
 def _v(sys):
@@ -95,15 +95,15 @@ class TestBuildM:
         for sys in (coil, rational2d, drift):
             M = build_M(sys, 1)
             _A, B = jacobians(sys)
-            assert M.entries[0][0] == B[0][0]
-            assert M.entries[1][0] == B[1][0]
+            assert M[0][0] == B[0][0]
+            assert M[1][0] == B[1][0]
 
     def test_dimension_law(self, coil, rational2d):
         for sys in (coil, rational2d):
             for k in range(1, 5):
                 M = build_M(sys, k)
-                assert M.rows == sys.n
-                assert M.cols == k * sys.m
+                assert len(M) == sys.n
+                assert all(len(row) == k * sys.m for row in M)
 
     def test_fivestep_rank_two_at_horizon_five(self, fivestep):
         # at (0,1) with generic inputs the five-step matrix reaches rank 2
@@ -141,58 +141,50 @@ class TestBuildM:
 
 class TestMinors:
     def test_coil_step2_ideal(self, coil):
-        M = build_M(coil, 2)
-        dec = minors_and_coefficients(M, coil)
-        I = coefficient_ideal(dec, coil.reg)
+        I = _step_ideal(coil, 2)
         reg = I.reg
         x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
         assert ideal_equal(I, Ideal(reg, [x1 * (x1 + T * x2)]))
 
     def test_rational2d_step2_ideal(self, rational2d):
-        M = build_M(rational2d, 2)
-        dec = minors_and_coefficients(M, rational2d)
-        I = coefficient_ideal(dec, rational2d.reg)
+        I = _step_ideal(rational2d, 2)
         reg = I.reg
         x1, x2 = reg.var("x1"), reg.var("x2")
         assert ideal_equal(I, Ideal(reg, [x2 * (x1 + x2)]))
 
     def test_square_matrix_single_minor(self, coil):
-        M = build_M(coil, 2)  # k*m = n = 2
-        dec = minors_and_coefficients(M, coil)
-        assert len(dec.minors) == 1
-        assert dec.minors[0].columns == (0, 1)
+        # k*m = n = 2
+        assert list(minor_determinants(coil, 2)) == [(0, 1)]
 
-    def test_minor_count_and_reconstruction(self, rational2d):
+    def test_minor_count_and_values(self, rational2d):
+        from itertools import combinations
         from math import comb
 
-        M = build_M(rational2d, 3)
-        dec = minors_and_coefficients(M, rational2d)
-        assert len(dec.minors) == comb(3, 2)
-        reg = dec.minors[0].numerator.reg
-        for minor in dec.minors:
-            total = reg.zero()
-            for mono, coeff in minor.coefficients.items():
-                total = total + mono * coeff
-            assert total == minor.numerator
+        dets = minor_determinants(rational2d, 3)
+        assert list(dets) == list(combinations(range(3), 2))
+        assert len(dets) == comb(3, 2)
+        # minors inside the first two columns come from det A<2> times a
+        # minor of M_2; each must equal the determinant of its submatrix
+        point = {"x1": Fraction(2), "x2": Fraction(-3), "u": Fraction(1, 3),
+                 "u(1)": Fraction(5), "u(2)": Fraction(-7, 2)}
+        at = lambda f: f.evaluate({n: point[n] for n in f.reg.names()})
+        M = [[at(e) for e in row] for row in build_M(rational2d, 3)]
+        for (a, b), det in dets.items():
+            assert at(det) == M[0][a] * M[1][b] - M[0][b] * M[1][a]
 
     def test_zero_matrix_zero_ideal(self, drift):
         # drift's second state never sees the input: step-2 minors vanish
-        M = build_M(drift, 2)
-        dec = minors_and_coefficients(M, drift)
-        I = coefficient_ideal(dec, drift.reg)
-        assert I.is_zero_ideal
+        assert _step_ideal(drift, 2).is_zero_ideal
 
 
 class TestSymbolicRank:
     def test_full_rank_generic(self, coil):
-        M = build_M(coil, 2)
-        assert symbolic_rank(M.entries) == 2
+        assert symbolic_rank(build_M(coil, 2)) == 2
 
     def test_rank_deficient_chain(self, drift):
         # generic rank stays below 2 at every horizon (stopping property)
         for k in range(2, 6):
-            M = build_M(drift, k)
-            assert symbolic_rank(M.entries) < 2
+            assert symbolic_rank(build_M(drift, k)) < 2
 
 
 class TestSubmersivity:
