@@ -78,7 +78,7 @@ def _singular_json(s):
     return {
         "kind": s.kind,
         "points": [[_rat(c) for c in p] for p in s.points],
-        "boxes": [[[_rat(b[0]), _rat(b[1])] for b in box] for box in s.boxes],
+        "boxes": [[name, _rat(b.lo), _rat(b.hi)] for name, b in s.boxes],
         "generators": [str(g) for g in s.generators],
         "message": s.message,
     }

@@ -13,10 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import prod
 from operator import add
 
 from .errors import ResourceBudgetError, VerificationError
-from .realroots import RootBox, real_roots
+from .realroots import RootBox, _gcd, real_roots
 from .ring import (
     Polynomial,
     RationalFunction,
@@ -42,7 +44,6 @@ class MonomialOrder:
     """Term order on the state variables."""
 
     kind: str = "degrevlex"
-    permutation: tuple = ()  # state names, most significant first; () = natural
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
@@ -50,10 +51,7 @@ class MonomialOrder:
 
     def state_positions(self, reg):
         """Positions (registry indices) of states, most significant first."""
-        perm = self.permutation or reg.states
-        if sorted(perm) != sorted(reg.states):
-            raise ValueError("order permutation must be a bijection on the states")
-        return [reg.index(n) for n in perm]
+        return list(reg.state_indices)
 
     def key(self, proj):
         """Sort key on a projected state-exponent tuple; larger = bigger."""
@@ -401,10 +399,9 @@ class Ideal:
         return not self.generators
 
     def groebner_basis(self, order=DEFAULT_ORDER):
-        key = (order.kind, order.permutation)
-        if key not in self._gb_cache:
-            self._gb_cache[key] = buchberger(list(self.generators), order)
-        return list(self._gb_cache[key])
+        if order.kind not in self._gb_cache:
+            self._gb_cache[order.kind] = buchberger(list(self.generators), order)
+        return list(self._gb_cache[order.kind])
 
     def reducer(self, order=DEFAULT_ORDER, reg=None):
         """(state positions, wrapped basis) for `normal_form` in registry
@@ -617,8 +614,8 @@ class SolveResult:
 
     status: 'points' (exact rational points), 'not_zero_dimensional',
     'refused' (parameter-dependent), or 'irrational' (real roots exist but
-    are not rational; boxes holds per-variable isolating intervals found
-    before giving up).
+    are not rational; boxes holds (state name, RootBox) pairs for the
+    irrational values of the state where solving stopped).
     """
 
     status: str
@@ -628,26 +625,33 @@ class SolveResult:
 
 
 def vanishing_ideal(reg, points):
-    """Vanishing ideal of a finite set of rational state points."""
-    state_names = list(reg.states)
+    """Vanishing ideal of a finite set of rational state points.
+
+    Built one coordinate at a time.  With c_j the distinct values of the
+    last coordinate x, L_j(x) their Lagrange basis and P_j the points over
+    c_j projected to the other coordinates,
+    I(P) = <prod_j (x - c_j)> + sum_j L_j(x) * I(P_j).
+    """
+
+    def gens(names, pts):
+        if not names:
+            return []  # a point of the zero-dimensional space: ideal <0>
+        x = reg.var(names[-1])
+        fibres = {}
+        for pt in pts:
+            fibres.setdefault(pt[-1], []).append(pt[:-1])
+        out = [prod((x - reg.const(c) for c in fibres), start=reg.one())]
+        for c, fibre in fibres.items():
+            lagrange = prod(
+                ((x - reg.const(d)) * reg.const(1 / (c - d)) for d in fibres if d != c),
+                start=reg.one(),
+            )
+            out.extend(lagrange * g for g in gens(names[:-1], fibre))
+        return out
+
     if not points:
         return Ideal(reg, [reg.one()])
-    if len(points) > 6:
-        raise ValueError("vanishing_ideal supports at most 6 points")
-    per_point = [
-        [reg.var(n) - reg.const(a) for n, a in zip(state_names, pt)] for pt in points
-    ]
-    gens = []
-
-    def build(i, acc):
-        if i == len(per_point):
-            gens.append(acc)
-            return
-        for lin in per_point[i]:
-            build(i + 1, acc * lin)
-
-    build(0, reg.one())
-    I = Ideal(reg, gens)
+    I = Ideal(reg, gens(list(reg.states), list(dict.fromkeys(points))))
     return Ideal(reg, I.groebner_basis())
 
 
@@ -672,13 +676,12 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
         return SolveResult(
             "not_zero_dimensional", message="variety has positive dimension"
         )
-    lex = MonomialOrder("lex", order.permutation or reg.states)
-    gb = ideal.groebner_basis(lex)
-    state_names = list(lex.permutation or reg.states)
+    gb = ideal.groebner_basis(MonomialOrder("lex"))
     boxes = []
 
     def rec(gens, names, partial):
-        """Solve triangular-by-elimination; returns list of dicts or None on irrational."""
+        """Solve the lex basis from the last state up; the solutions as
+        dicts, or None once a level has an irrational root."""
         if not names:
             if any(not g.is_zero for g in gens):
                 return []
@@ -688,58 +691,25 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
             return []
         last = names[-1]
         li = reg.index(last)
-        univ = [
-            g
-            for g in gens
-            if g.variables_used() <= {li}
-        ]
+        univ = [g for g in gens if g.variables_used() <= {li}]
         if not univ:
-            # no pure polynomial in the least variable: fall back to solving
-            # for any variable that appears alone
             return None
-        coeffs_list = []
-        for g in univ:
-            d = g.degree_in(li)
-            coeffs = [Fraction(0)] * (d + 1)
-            for e, c in g.terms.items():
-                coeffs[e[li]] += c
-            coeffs_list.append(coeffs)
-        roots = None
-        for coeffs in coeffs_list:
-            rts = real_roots(coeffs)
-            keys = set()
-            exact = []
-            for r in rts:
-                if isinstance(r, RootBox):
-                    boxes.append((last, r))
-                    exact.append(r)
-                else:
-                    exact.append(r)
-            if roots is None:
-                roots = exact
-            else:
-                roots = [
-                    r
-                    for r in roots
-                    if any(_roots_match(r, s) for s in exact)
-                ]
+        # the common roots of the univariate polynomials: those of their gcd
+        roots = real_roots(reduce(_gcd, (_coefficients(g, li) for g in univ)))
+        irrational = [(last, r) for r in roots if isinstance(r, RootBox)]
+        if irrational:
+            boxes.extend(irrational)
+            return None
         out = []
         for r in roots:
-            if isinstance(r, RootBox):
-                return None
-            sub = []
-            for g in gens:
-                if g in univ:
-                    continue
-                val = _substitute_var(g, li, r)
-                sub.append(val)
+            sub = [_substitute_var(g, li, r) for g in gens if g not in univ]
             res = rec(sub, names[:-1], {**partial, last: r})
             if res is None:
                 return None
             out.extend(res)
         return out
 
-    sols = rec([g for g in gb], state_names, {})
+    sols = rec(gb, list(reg.states), {})
     if sols is None:
         return SolveResult(
             "irrational",
@@ -761,12 +731,12 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
     return SolveResult("points", points=points)
 
 
-def _roots_match(a, b):
-    if isinstance(a, RootBox) or isinstance(b, RootBox):
-        am = a.midpoint() if isinstance(a, RootBox) else a
-        bm = b.midpoint() if isinstance(b, RootBox) else b
-        return abs(am - bm) < Fraction(1, 2**40)
-    return a == b
+def _coefficients(g, idx):
+    """Coefficient list, constant term first, of g univariate in variable idx."""
+    coeffs = [Fraction(0)] * (g.degree_in(idx) + 1)
+    for e, c in g.terms.items():
+        coeffs[e[idx]] += c
+    return coeffs
 
 
 def _substitute_var(g, idx, value):

@@ -10,7 +10,6 @@ representations.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from .errors import (
@@ -24,8 +23,6 @@ from .errors import (
 PARAM = "parameter"
 STATE = "state"
 INPUT = "input"
-
-_INPUT_NAME = re.compile(r"^(.*)\((\d+)\)$")
 
 
 def grevlex_key(exp):

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, JSON contracts, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from accesskit import cli
 from accesskit.cli import (
     EXIT_ANALYSIS,
     EXIT_BUDGET,
@@ -12,6 +14,7 @@ from accesskit.cli import (
     EXIT_POLE,
     main,
 )
+from accesskit.errors import VerificationError
 from conftest import SYSTEMS
 
 
@@ -198,16 +201,51 @@ class TestErrors:
 
 
 class TestAnalysisFailure:
-    def test_analysis_error_is_not_a_parse_error(self, tmp_path, capsys):
-        # seven real singular points: vanishing_ideal in algorithm1 refuses
-        # more than six, an error of the analysis, not of the input
-        sevenpoint = tmp_path / "sevenpoint.sys"
-        sevenpoint.write_text(
-            "system sevenpoint\nstates x\ninputs u\n"
-            "x' = x + u*x*(x-1)*(x-2)*(x-3)*(x-4)*(x-5)*(x-6)\n"
-        )
-        code = main(["index", str(sevenpoint), "--exact-radical"])
+    def test_analysis_error_is_not_a_parse_error(self, monkeypatch, capsys):
+        # an error raised by the analysis itself exits 1, not 2
+        def fail(*args, **kwargs):
+            raise VerificationError("radical chain check failed")
+
+        monkeypatch.setattr(cli, "algorithm1", fail)
+        code = main(["index", path("coil"), "--exact-radical"])
         captured = capsys.readouterr()
         assert code == EXIT_ANALYSIS
         assert captured.out == ""
-        assert captured.err == "error: vanishing_ideal supports at most 6 points\n"
+        assert captured.err == "error: radical chain check failed\n"
+
+
+class TestRealSingularPoints:
+    def write(self, tmp_path, name, rhs):
+        f = tmp_path / f"{name}.sys"
+        f.write_text(f"system {name}\nstates x\ninputs u\nx' = x + u*{rhs}\n")
+        return str(f)
+
+    def test_seven_points_exact_radical(self, tmp_path, capsys):
+        # x' = x + u*q(x): S_1 is the zero set of q, here seven points, and
+        # I_1 = <q> is already its real radical, so r* = 1
+        factors = "*".join(f"(x-{i})" for i in range(7))
+        sevenpoint = self.write(tmp_path, "sevenpoint", factors)
+        code, doc = run(capsys, "index", sevenpoint, "--exact-radical")
+        assert code == EXIT_OK
+        assert (doc["kappa"], doc["r_star"], doc["r_star_certified"]) == (1, 1, True)
+        assert doc["singular_set"]["points"] == [[str(i)] for i in range(7)]
+
+    def test_irrational_points_are_boxes(self, tmp_path, capsys):
+        code, doc = run(capsys, "singular", self.write(tmp_path, "sqrt2", "(x^2 - 2)"))
+        assert code == EXIT_OK
+        s = doc["singular_set"]
+        assert s["kind"] == "boxes"
+        assert len(s["boxes"]) == 2
+        for (name, lo, hi), sign in zip(s["boxes"], (-1, 1)):
+            lo, hi = Fraction(lo), Fraction(hi)
+            assert name == "x"
+            assert sign * lo > 0 and sign * hi > 0
+            assert (lo * lo - 2) * (hi * hi - 2) < 0
+            assert hi - lo <= Fraction(1, 2**48)
+
+    def test_large_rational_points(self, tmp_path, capsys):
+        big = self.write(tmp_path, "big", "(x - 1000000000039)*(x - 1)")
+        code, doc = run(capsys, "singular", big)
+        assert code == EXIT_OK
+        assert doc["singular_set"]["kind"] == "points"
+        assert doc["singular_set"]["points"] == [["1"], ["1000000000039"]]

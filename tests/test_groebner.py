@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -243,6 +244,34 @@ class TestSolveZeroDim:
             for g in gens:
                 assert g.evaluate(env) == 0
 
+    def test_irrational_points_are_boxes(self, reg):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        r = solve_zero_dim(Ideal(reg, [x1 * x1 - reg.const(2), x2 - x1]))
+        assert r.status == "irrational"
+        assert r.points == []
+        # lex solving starts from the last state: x2^2 - 2 in the basis
+        assert [name for name, _ in r.boxes] == ["x2", "x2"]
+        for (_, box), sign in zip(r.boxes, (-1, 1)):
+            assert sign * box.lo > 0
+            assert (box.lo**2 - 2) * (box.hi**2 - 2) < 0
+
+    def test_large_rational_coordinates(self, reg):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        big = 10**12 + 39
+        gens = [(x1 - reg.one()) * (x1 - reg.const(big)), x2]
+        r = solve_zero_dim(Ideal(reg, gens))
+        assert r.status == "points"
+        assert r.points == [(Fraction(1), Fraction(0)), (Fraction(big), Fraction(0))]
+
+    def test_common_roots_of_one_level(self, reg):
+        # after x2 = 1, both (x1 - 1)*x2 and x1^2 - 1 are univariate in x1;
+        # only their common root 1 gives a solution over x2 = 1
+        x1, x2, one = reg.var("x1"), reg.var("x2"), reg.one()
+        gens = [x2 * x2 - x2, (x1 - one) * x2, x1 * x1 - one]
+        r = solve_zero_dim(Ideal(reg, gens))
+        assert r.status == "points"
+        assert r.points == [(-1, 0), (1, 0), (1, 1)]
+
 
 class TestDeflate:
     # coefficients from the constant term up: x^2 - 1 = (x - 1)(x + 1)
@@ -257,6 +286,35 @@ class TestDeflate:
             _deflate(self.SQUARE_MINUS_ONE, Fraction(2))
 
 
+def _product_vanishing_ideal(reg, points):
+    """The reference construction: all products of one coordinate
+    hyperplane x_i - a_i through each point (|P| <= 6 keeps it small)."""
+    gens = [reg.one()]
+    for pt in points:
+        gens = [
+            g * (reg.var(n) - reg.const(a)) for g in gens for n, a in zip(reg.states, pt)
+        ]
+    return Ideal(reg, gens).groebner_basis()
+
+
+def _standard_monomials(basis, nstates, top):
+    """Monomials of degree <= top that no leading monomial divides."""
+    order = MonomialOrder()
+    leads = [max(g.terms, key=order.key) for g in basis]
+    return sum(
+        1
+        for e in product(range(top + 1), repeat=nstates)
+        if sum(e) <= top and not any(all(a <= b for a, b in zip(l, e)) for l in leads)
+    )
+
+
+def _random_points(rng, nstates, count):
+    pts = set()
+    while len(pts) < count:
+        pts.add(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(nstates)))
+    return sorted(pts)
+
+
 class TestVanishingIdeal:
     def test_single_point(self, reg):
         V = vanishing_ideal(reg, [(Fraction(1), Fraction(2))])
@@ -269,6 +327,28 @@ class TestVanishingIdeal:
         assert V.contains(x2)
         assert V.contains(x1 * x1 - x1)
         assert not V.contains(x1)
+
+    @pytest.mark.parametrize("nstates", [1, 2, 3])
+    def test_matches_product_construction(self, nstates):
+        reg = VariableRegistry(("x1", "x2", "x3")[:nstates], ("u",), (), 0)
+        rng = random.Random(nstates)
+        for _ in range(12):
+            # the reference has nstates^|P| generators: at most 3^4 here
+            pts = _random_points(rng, nstates, rng.randint(1, 4 if nstates == 3 else 6))
+            got = vanishing_ideal(reg, pts).groebner_basis()
+            assert got == _product_vanishing_ideal(reg, pts), pts
+
+    @pytest.mark.parametrize("nstates", [1, 2, 3])
+    def test_more_than_six_points(self, nstates):
+        reg = VariableRegistry(("x1", "x2", "x3")[:nstates], ("u",), (), 0)
+        rng = random.Random(10 + nstates)
+        for count in (7, 9, 12):
+            pts = _random_points(rng, nstates, count)
+            basis = vanishing_ideal(reg, pts).groebner_basis()
+            for pt in pts:
+                env = dict(zip(reg.states, pt))
+                assert all(g.evaluate(env) == 0 for g in basis)
+            assert _standard_monomials(basis, nstates, count) == count
 
 
 def _random_poly(reg, rng, names, terms, deg):
