@@ -186,7 +186,7 @@ def _reduced_step_generators(sys, k, current):
         return env
 
     x0 = [target.var(s) for s in sys.reg.states]
-    ev = lambda f, env: red(f.num.substitute(env).num)
+    ev = lambda f, env: red(f.num.substitute(env))
     M = walk_matrix(sys, x0, k, bind, ev, red)
 
     # Every input-monomial coefficient of a reduced minor is a nonzero
@@ -325,7 +325,11 @@ def _sample_matrix(sys, x0, values):
     return walk_matrix(sys, x0, len(values), bind, RationalFunction.evaluate)
 
 
-def _sampled_full_rank(sys, x0, k, trials=3):
+# Exact samples `_sampled_full_rank` draws before it gives up.
+_SAMPLE_TRIALS = 3
+
+
+def _sampled_full_rank(sys, x0, k):
     """Certify full rank of the point-pinned matrix by exact sampling.
 
     The whole recursion is evaluated over the rationals at random
@@ -335,7 +339,7 @@ def _sampled_full_rank(sys, x0, k, trials=3):
     the caller falls back to symbolic elimination."""
     rng = random.Random(0x5EED)
     draw = lambda: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
-    for _ in range(trials):
+    for _ in range(_SAMPLE_TRIALS):
         point = {p: draw() for p in sys.reg.params}
         values = [{**point, **{u: draw() for u in sys.reg.inputs}} for _ in range(k)]
         try:
@@ -370,8 +374,7 @@ def invariance_check(ideal, sys):
     input-monomial coefficient by coefficient."""
     bindings = dict(zip(sys.reg.states, sys.phi))
     for g in ideal.generators:
-        composed = RationalFunction(g).substitute(bindings)
-        num = composed.num
+        num = g.substitute(bindings).num
         if num.is_zero:
             continue
         for coeff in collect_by_class(num, "input").values():

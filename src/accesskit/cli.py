@@ -323,13 +323,23 @@ def _dispatch(args, started):
         )
         return EXIT_OK
 
+    # simulate and rank: float runs of a fully bound model
+    if model.params:
+        raise AccessKitError(
+            f"{cmd} needs values for parameters: {', '.join(model.params)}"
+        )
+    x0 = [float(c) for c in _point_arg(args.x, model.n)]
+
     if cmd == "simulate":
-        x0 = [float(Fraction(p)) for p in args.x.split(",") if p]
         inputs = [
             [float(Fraction(v)) for v in step.split(",") if v]
             for step in args.u.split(";")
             if step
         ]
+        if any(len(u) != model.m for u in inputs):
+            raise ParseError(
+                f"every --u step needs {model.m} comma-separated rationals", 0, 0
+            )
         traj = _analyse(simulate, model, x0, inputs)
         _emit(
             {
@@ -341,7 +351,6 @@ def _dispatch(args, started):
         return EXIT_OK
 
     if cmd == "rank":
-        x0 = [float(Fraction(p)) for p in args.x.split(",") if p]
         est = _analyse(
             jacobian_rank, model, x0, args.k, samples=args.samples, tol=args.tol
         )

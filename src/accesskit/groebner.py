@@ -38,6 +38,10 @@ from .ring import (
 _DEGREE_CAP = 64
 _STEP_CAP = 20000
 
+# The sign-change witness of `radical_heuristic`: seeded draws, and how many.
+_WITNESS_SEED = 0x5EED
+_WITNESS_TRIES = 400
+
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -163,7 +167,7 @@ def _lead_monomial(p, order, positions):
     return max((_project(e, positions) for e in p.terms), key=order.key)
 
 
-def normal_form(p, basis, order, positions, budget_steps=None, normalize=True):
+def normal_form(p, basis, order, positions, normalize=True):
     """Pseudo normal form of p modulo a list of _GBPoly.
 
     Variables other than the states (parameters, inputs) act as
@@ -182,14 +186,13 @@ def normal_form(p, basis, order, positions, budget_steps=None, normalize=True):
     if p.is_zero:
         return p
     reg = p.reg
-    cap = budget_steps or _STEP_CAP
     key = order.key
     work = _split(p.terms, positions)
     rem = {}  # irreducible groups; all larger than anything left in work
     steps = 0
     while work:
         steps += 1
-        if steps > cap:
+        if steps > _STEP_CAP:
             raise ResourceBudgetError(
                 "normal-form step budget exceeded", partial=[g.poly for g in basis]
             )
@@ -268,7 +271,7 @@ def buchberger(generators, order=DEFAULT_ORDER):
     for g in seeds:
         r = g.poly
         if basis:
-            r = normal_form(r, basis, order, positions, budget_steps=_STEP_CAP)
+            r = normal_form(r, basis, order, positions)
             if r.is_zero:
                 continue
             r = clear_param_content(r)[0]
@@ -324,7 +327,7 @@ def buchberger(generators, order=DEFAULT_ORDER):
         s = _spoly(basis[i], basis[j], order, positions, reg)
         if s.is_zero:
             continue
-        r = normal_form(s, basis, order, positions, budget_steps=_STEP_CAP)
+        r = normal_form(s, basis, order, positions)
         if r.is_zero:
             continue
         if r.total_degree() > _DEGREE_CAP:
@@ -529,12 +532,13 @@ def _radical_of_monomials(gens):
     return out
 
 
-def _sign_change_witness(q, rng, tries=400):
+def _sign_change_witness(q):
     """Look for rational points where q is positive and where it is negative."""
     reg = q.reg
+    rng = random.Random(_WITNESS_SEED)
     names = [reg.name(i) for i in q.variables_used()]
     seen_pos = seen_neg = False
-    for _ in range(tries):
+    for _ in range(_WITNESS_TRIES):
         point = {
             n: Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for n in names
         }
@@ -546,7 +550,7 @@ def _sign_change_witness(q, rng, tries=400):
     return False
 
 
-def radical_heuristic(ideal, order=DEFAULT_ORDER, rng=None):
+def radical_heuristic(ideal, order=DEFAULT_ORDER):
     """Best-effort real-radical reduction.
 
     Returns (Ideal, certified).  The output J always satisfies
@@ -557,7 +561,6 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER, rng=None):
     square-free case is certified on witness evidence (sign changes plus a
     finite singular locus).
     """
-    rng = rng or random.Random(0x5EED)
     reg = ideal.reg
     if ideal.is_zero_ideal:
         return ideal, True
@@ -600,7 +603,7 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER, rng=None):
                 [q] + [q.diff(reg.name(i)) for i in sorted(q.variables_used())],
             )
             finite_sing = sing.contains_one() or sing.is_zero_dimensional(order)
-            if finite_sing and _sign_change_witness(q, rng):
+            if finite_sing and _sign_change_witness(q):
                 return J, True
     return J, False
 
@@ -702,7 +705,7 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
             return None
         out = []
         for r in roots:
-            sub = [_substitute_var(g, li, r) for g in gens if g not in univ]
+            sub = [g.substitute({last: r}) for g in gens if g not in univ]
             res = rec(sub, names[:-1], {**partial, last: r})
             if res is None:
                 return None
@@ -720,11 +723,13 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
     for s in sols:
         points.append(tuple(s[n] for n in reg.states))
     points = sorted(set(points))
-    # exact verification: every point zeroes every generator
+    # exact verification: every point zeroes every generator, identically
+    # in any parameters (a raw generator may carry them when the basis
+    # does not)
     for pt in points:
         binding = dict(zip(reg.states, pt))
         for g in ideal.generators:
-            if g.evaluate(binding) != 0:
+            if not g.substitute(binding).is_zero:
                 raise VerificationError(
                     f"solved point {pt} is not a zero of generator {g}"
                 )
@@ -737,17 +742,6 @@ def _coefficients(g, idx):
     for e, c in g.terms.items():
         coeffs[e[idx]] += c
     return coeffs
-
-
-def _substitute_var(g, idx, value):
-    out = {}
-    for e, c in g.terms.items():
-        ne = list(e)
-        p = ne[idx]
-        ne[idx] = 0
-        ne = tuple(ne)
-        out[ne] = out.get(ne, Fraction(0)) + c * value**p
-    return Polynomial(g.reg, out)
 
 
 def ideal_equal(a, b, order=DEFAULT_ORDER):

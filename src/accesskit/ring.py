@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    DegenerateDenominatorError,
     ExactDivisionError,
     IndeterminateError,
     PoleError,
@@ -413,8 +414,40 @@ class Polynomial:
         return _eval_terms(self.terms, vals)
 
     def substitute(self, bindings):
-        """Substitute variables by rational functions; returns RationalFunction."""
-        return RationalFunction(self, self.reg.one()).substitute(bindings)
+        """Exact composition; bindings map variable name -> value.
+
+        Values may be Polynomial, RationalFunction, Fraction or int, and
+        the result lies in their ring: a RationalFunction when any value is
+        one, else a Polynomial.  It lives in the largest registry among the
+        values (this one when all values are numbers); unbound variables
+        are left in place, under the same name.
+        """
+        reg = self.reg
+        values = {reg.index(name): v for name, v in bindings.items()}
+        ring = [
+            v for v in values.values() if isinstance(v, (Polynomial, RationalFunction))
+        ]
+        target = max((v.reg for v in ring), key=lambda r: r.arity, default=reg)
+        place = {
+            i: target.index(reg.name(i)) for i in self.variables_used() if i not in values
+        }
+        total = target.zero()
+        if any(isinstance(v, RationalFunction) for v in ring):
+            total = RationalFunction(total)
+        powers = {}
+        for e, c in self.terms.items():
+            shift = [0] * target.arity
+            for i, j in place.items():
+                shift[j] = e[i]
+            term = target.monomial(shift, c)
+            for i, v in values.items():
+                n = e[i]
+                if n:
+                    if (i, n) not in powers:
+                        powers[i, n] = v**n
+                    term = term * powers[i, n]
+            total = total + term
+        return total
 
     # -- normalization helpers -------------------------------------------
 
@@ -1153,56 +1186,18 @@ class RationalFunction:
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 
     def substitute(self, bindings):
-        """Exact composition; bindings map variable name -> value.
-
-        Values may be RationalFunction, Polynomial, Fraction or int.
-        Unbound variables are left in place.
-        """
-        reg = self.reg
-        cooked = {}
-        for name, v in bindings.items():
-            i = reg.index(name)
-            v = RationalFunction._coerce(v, reg)
-            if v is NotImplemented:
-                raise TypeError(f"cannot substitute {name!r} by {bindings[name]!r}")
-            cooked[i] = v
-
-        def subs_poly(p):
-            regs = [v.reg for v in cooked.values() if v.reg.arity > reg.arity]
-            target = max(regs, key=lambda r: r.arity, default=reg)
-            total = RationalFunction(target.zero())
-            cache = {}
-
-            def power(i, n):
-                key = (i, n)
-                if key not in cache:
-                    if i in cooked:
-                        base = cooked[i]
-                    else:
-                        base = RationalFunction(reg.var(reg.name(i)))
-                    cache[key] = base**n
-                return cache[key]
-
-            for e, c in p.sorted_terms():
-                term = RationalFunction(target.const(c))
-                for i, n in enumerate(e):
-                    if n:
-                        term = term * power(i, n)
-                total = total + term
-            return total
-
-        new_num = subs_poly(self.num)
-        if self.is_polynomial:
-            return new_num
-        new_den = subs_poly(self.den)
-        if new_den.is_zero:
-            from .errors import DegenerateDenominatorError
-
+        """Exact composition, as `Polynomial.substitute`, always returning a
+        RationalFunction."""
+        num = self.num.substitute(bindings)
+        den = None if self.is_polynomial else self.den.substitute(bindings)
+        if den is not None and den.is_zero:
             raise DegenerateDenominatorError(
                 "substitution produced an identically zero denominator",
-                binding={reg.name(i): str(v) for i, v in cooked.items()},
+                binding={name: str(v) for name, v in bindings.items()},
             )
-        return new_num / new_den
+        if isinstance(num, Polynomial):
+            return RationalFunction(num, den)
+        return num if den is None else num / den
 
     def evaluate(self, point):
         """Exact value at a point; pole and 0/0 are distinct errors."""

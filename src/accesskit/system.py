@@ -69,32 +69,14 @@ class SystemModel:
                 raise ValueError(f"{k!r} is not a parameter of {self.name}")
         remaining = tuple(p for p in self.reg.params if p not in values)
         target = VariableRegistry(self.reg.states, self.reg.inputs, remaining, 1)
-        new_phi = []
-        for f in self.phi:
-            g = f.substitute(values)
-            num = Polynomial(
-                target,
-                {self._strip_exp(e, remaining): c for e, c in g.num.terms.items()},
-                _clean=True,
-            )
-            den = Polynomial(
-                target,
-                {self._strip_exp(e, remaining): c for e, c in g.den.terms.items()},
-                _clean=True,
-            )
-            new_phi.append(RationalFunction(num, den))
+        bindings = {**values, **{v: target.var(v) for v in target.names()}}
         return SystemModel(
-            self.reg.states, self.reg.inputs, new_phi, remaining, name=self.name
+            self.reg.states,
+            self.reg.inputs,
+            [f.substitute(bindings) for f in self.phi],
+            remaining,
+            name=self.name,
         )
-
-    def _strip_exp(self, e, remaining):
-        reg = self.reg
-        keep = [
-            x
-            for i, x in enumerate(e)
-            if reg.kind(i) != "parameter" or reg.name(i) in remaining
-        ]
-        return tuple(keep)
 
     def __repr__(self):
         return f"SystemModel({self.name}, n={self.n}, m={self.m})"
@@ -114,7 +96,7 @@ def shift(f, sys, t=1):
         for base in reg.inputs:
             for s in range(reg.horizon):
                 name = base if s == 0 else f"{base}({s})"
-                bindings[name] = RationalFunction(target.var(f"{base}({s + 1})"))
+                bindings[name] = target.var(f"{base}({s + 1})")
         f = f.lift(target).substitute(bindings)
     return f
 
@@ -139,7 +121,7 @@ def flow_env(reg, x, t):
     target = reg.with_horizon(t + 1)
     env = {s: f.lift(target) for s, f in zip(reg.states, x)}
     for base in reg.inputs:
-        env[base] = RationalFunction(target.var(f"{base}({t})"))
+        env[base] = target.var(f"{base}({t})")
     return env
 
 

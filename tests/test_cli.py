@@ -80,12 +80,40 @@ class TestIndexAndSingular:
         assert code == EXIT_BUDGET
         assert doc["budget_exhausted"] is True
 
+    def test_parametric_raw_generators(self, tmp_path, capsys):
+        # the chain stops at k = n = 2 with raw generators that carry T,
+        # while its basis <x2^2, x1*x2, x1^2> does not
+        f = tmp_path / "d.sys"
+        f.write_text(
+            "system d\nparams T\nstates x1 x2\ninputs u\n"
+            "x1' = x2 + T*u*x1\nx2' = x1 + u*x2\n"
+        )
+        code, doc = run(capsys, "index", str(f))
+        assert code == EXIT_OK
+        assert doc["kappa"] == 2
+        assert doc["singular_set"]["points"] == [["0", "0"]]
+
     def test_json_deterministic(self, capsys):
         _, a = run(capsys, "index", path("coil"))
         _, b = run(capsys, "index", path("coil"))
         a.pop("elapsed_seconds")
         b.pop("elapsed_seconds")
         assert a == b
+
+
+EXPECTED = sorted((SYSTEMS.parent / "tests" / "cli_expected").glob("*.json"))
+
+
+@pytest.mark.parametrize("case", EXPECTED, ids=[p.stem for p in EXPECTED])
+def test_corpus_output_unchanged(case, capsys):
+    # each file holds a corpus command with its recorded exit code and
+    # stdout (apart from elapsed_seconds); a refactor leaves both unchanged,
+    # so a file is rewritten only for an intended change of output
+    want = json.loads(case.read_text())
+    argv = [str(SYSTEMS.parent / a) if a.endswith(".sys") else a for a in want["argv"]]
+    code, doc = run(capsys, *argv)
+    doc.pop("elapsed_seconds")
+    assert (code, doc) == (want["exit_code"], want["stdout"])
 
 
 class TestPoint:
@@ -108,6 +136,19 @@ class TestPoint:
     def test_wrong_dimension(self, capsys):
         code, _ = run(capsys, "point", path("coil"), "--x", "1", "--k", "2")
         assert code == EXIT_PARSE
+        # simulate and rank check their arguments the same way
+        unbound = "needs values for parameters: T, a, b"
+        for argv, message in (
+            (("simulate", *COIL_BIND, "--x", "1", "--u", "1"), "--x needs 2"),
+            (("simulate", *COIL_BIND, "--x", "1,2,3", "--u", "1"), "--x needs 2"),
+            (("simulate", *COIL_BIND, "--x", "1,2", "--u", "1,2;1"), "--u step needs 1"),
+            (("rank", *COIL_BIND, "--x", "1", "--k", "1"), "--x needs 2"),
+            (("rank", "--x", "1,2", "--k", "1"), unbound),
+            (("simulate", "--x", "1,2", "--u", "1"), unbound),
+        ):
+            assert main([argv[0], path("coil"), *argv[1:]]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
 
 
 class TestNumeric:

@@ -145,6 +145,44 @@ class TestSubstitute:
             inner = dict(pt)
             inner[sub_name] = g.evaluate(pt)
             assert composed.evaluate(pt) == f.evaluate(inner)
+        # polynomial values keep a polynomial receiver in the polynomial
+        # ring, values from a longer horizon move it to their registry,
+        # and rational numbers leave it in its own
+        big = reg.with_horizon(3)
+        big_names = big.names()
+        for _ in range(300):
+            f = _random_poly(reg, rng)
+            pt = {
+                n: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for n in big_names
+            }
+            sub_name = names[rng.randrange(len(names))]
+            g = _random_poly(reg, rng)
+            composed = f.substitute({sub_name: g})
+            assert isinstance(composed, Polynomial) and composed.reg == reg
+            small = {n: pt[n] for n in names}
+            assert composed.evaluate(small) == f.evaluate(
+                {**small, sub_name: g.evaluate(small)}
+            )
+            g = _random_poly(big, rng)
+            for receiver, value in (
+                (f, g),
+                (f, RationalFunction(g)),
+                (RationalFunction(f), g),
+            ):
+                composed = receiver.substitute({sub_name: value})
+                ring = Polynomial if value is g and receiver is f else RationalFunction
+                assert type(composed) is ring and composed.reg == big
+                assert composed.evaluate(pt) == f.evaluate(
+                    {**small, sub_name: g.evaluate(pt)}
+                )
+            bound = {n: pt[n] for n in rng.sample(names, rng.randint(1, 3))}
+            # the bound variables are gone: moving them changes nothing
+            moved = {**small, **{n: v + 1 for n, v in bound.items()}}
+            for receiver in (f, RationalFunction(f)):
+                composed = receiver.substitute(bound)
+                assert type(composed) is type(receiver) and composed.reg == reg
+                assert composed.evaluate(moved) == f.evaluate({**moved, **bound})
 
 
 class TestCollectByClass:

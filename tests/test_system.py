@@ -16,9 +16,11 @@ from accesskit import (
     ideal_equal,
     jacobians,
     numeric_access_matrix,
+    parse_system,
     shift,
     submersivity_check,
     symbolic_rank,
+    to_system_model,
 )
 from accesskit.analysis import _step_ideal
 from accesskit.oracle import finite_difference_jacobian
@@ -139,6 +141,25 @@ class TestBuildM:
             pairs += 1
 
 
+def _fraction_det(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * a * _fraction_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def _assert_minors_at(sys, k, point):
+    """Each n x n minor of M_k, evaluated at the point, equals the Fraction
+    determinant of the evaluated submatrix."""
+    at = lambda f: f.evaluate({n: point[n] for n in f.reg.names()})
+    M = [[at(e) for e in row] for row in build_M(sys, k)]
+    for colset, det in minor_determinants(sys, k).items():
+        assert at(det) == _fraction_det([[row[j] for j in colset] for row in M])
+
+
 class TestMinors:
     def test_coil_step2_ideal(self, coil):
         I = _step_ideal(coil, 2)
@@ -167,10 +188,19 @@ class TestMinors:
         # minor of M_2; each must equal the determinant of its submatrix
         point = {"x1": Fraction(2), "x2": Fraction(-3), "u": Fraction(1, 3),
                  "u(1)": Fraction(5), "u(2)": Fraction(-7, 2)}
-        at = lambda f: f.evaluate({n: point[n] for n in f.reg.names()})
-        M = [[at(e) for e in row] for row in build_M(rational2d, 3)]
-        for (a, b), det in dets.items():
-            assert at(det) == M[0][a] * M[1][b] - M[0][b] * M[1][a]
+        _assert_minors_at(rational2d, 3, point)
+        # three states whose columns mix denominators: the determinant
+        # clears each row's denominators instead of each column's
+        mixed = to_system_model(parse_system(
+            "system mixed\nstates x1 x2 x3\ninputs u1 u2 u3\n"
+            "x1' = x1 + u1/(x2 + 2)\n"
+            "x2' = x2 + u2/(x3 + 3) + u1*x1\n"
+            "x3' = x3 + u3*x1/(x1 - 1) + u2\n"
+        ))
+        assert list(minor_determinants(mixed, 1)) == [(0, 1, 2)]
+        point = {"x1": Fraction(3), "x2": Fraction(-1, 2), "x3": Fraction(4),
+                 "u1": Fraction(1), "u2": Fraction(-2), "u3": Fraction(5, 3)}
+        _assert_minors_at(mixed, 1, point)
 
     def test_zero_matrix_zero_ideal(self, drift):
         # drift's second state never sees the input: step-2 minors vanish
