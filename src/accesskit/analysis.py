@@ -14,14 +14,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .groebner import (
-    DEFAULT_ORDER,
-    Ideal,
-    normal_form,
-    radical_heuristic,
-    solve_zero_dim,
-    to_state_ring,
-)
+from .groebner import Ideal, radical_heuristic, solve_zero_dim, to_state_ring
 from .errors import (
     DegenerateDenominatorError,
     IndeterminateError,
@@ -149,21 +142,6 @@ def _fast_chain_ok(sys):
     return not sys.params and all(f.is_polynomial for f in sys.phi)
 
 
-def _mixed_reduce(p, ideal):
-    """Normal form of a state/input polynomial modulo a state-ring ideal,
-    with input monomials acting as coefficients.
-
-    Only used on parameter-free maps, where the reduced basis has constant
-    leading coefficients: the remainder is then unique and linear, so this
-    one pass equals the sum of mono * NF(coeff) over the input-monomial
-    coefficients of p.
-    """
-    if ideal is None or not ideal.generators or p.is_zero:
-        return p
-    positions, basis = ideal.reducer(DEFAULT_ORDER, p.reg)
-    return normal_form(p, basis, DEFAULT_ORDER, positions, normalize=False)
-
-
 def _reduced_step_generators(sys, k, current):
     """Generators of the step-k minor-coefficient ideal, computed with all
     intermediate data reduced modulo the chain ideal so far.
@@ -177,7 +155,9 @@ def _reduced_step_generators(sys, k, current):
     if k * m < n:
         return []
     target = sys.reg.with_horizon(k)
-    red = lambda p: _mixed_reduce(p, current)
+    # parameter-free: the basis has constant leading coefficients, so the
+    # normal form is congruent to p and linear in the input monomials
+    red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
 
     def bind(x, t):
         env = dict(zip(sys.reg.states, x))
@@ -235,7 +215,8 @@ def algorithm2(sys, max_k=None, mode="forward"):
     """Stabilize the cumulative minor-coefficient ideal: the first horizon
     where adding the next step changes nothing gives kappa, and the zero set
     of the stabilized ideal is the set of never-accessible states."""
-    max_k = max_k or default_max_k(sys)
+    if max_k is None:
+        max_k = default_max_k(sys)
     n = sys.n
     report = AnalysisReport(
         system_name=sys.name,
@@ -276,7 +257,8 @@ def algorithm1(sys, max_k=None):
     """Real-radical chain: the first horizon where the radical of the
     per-step minor-coefficient ideal stops growing is the accessibility
     index r*.  Returns (r_star, final ideal, certified)."""
-    max_k = max_k or default_max_k(sys)
+    if max_k is None:
+        max_k = default_max_k(sys)
     n = sys.n
     step = _step_ideal(sys, n)
     if step.is_zero_ideal:  # not generically accessible
@@ -370,17 +352,10 @@ def point_status(sys, x0, k):
 
 def invariance_check(ideal, sys):
     """Certify that the zero set of the ideal is forward invariant: every
-    generator composed with the transition map must land back in the ideal,
-    input-monomial coefficient by coefficient."""
+    generator composed with the transition map must land back in the ideal
+    for every input, that is, over the field of the inputs."""
     bindings = dict(zip(sys.reg.states, sys.phi))
-    for g in ideal.generators:
-        num = g.substitute(bindings).num
-        if num.is_zero:
-            continue
-        for coeff in collect_by_class(num, "input").values():
-            if not ideal.contains(coeff):
-                return False
-    return True
+    return all(ideal.contains(g.substitute(bindings).num) for g in ideal.generators)
 
 
 def backward_analysis(inverse_sys, max_k=None):

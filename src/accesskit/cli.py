@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys as _sys
 import time
 from fractions import Fraction
@@ -153,7 +154,7 @@ def main(argv=None):
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, numeric=False):
+    def common(p):
         p.add_argument("file", help="system definition file")
         p.add_argument(
             "--bind",
@@ -208,6 +209,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.command in ("point", "rank", "scan1d") and args.k < 1:
         ap.error("argument --k: the horizon must be >= 1")
+    if getattr(args, "max_k", None) is not None and args.max_k < 1:
+        ap.error("argument --max-k: the horizon budget must be >= 1")
+    if args.command in ("rank", "scan1d") and args.samples < 1:
+        ap.error("argument --samples: the sample count must be >= 1")
+    if args.command == "scan1d" and not 0 < args.grid < math.inf:
+        ap.error("argument --grid: the grid step must be finite and > 0")
     started = time.time()
     try:
         return _dispatch(args, started)

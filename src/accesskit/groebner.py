@@ -53,10 +53,6 @@ class MonomialOrder:
         if self.kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
 
-    def state_positions(self, reg):
-        """Positions (registry indices) of states, most significant first."""
-        return list(reg.state_indices)
-
     def key(self, proj):
         """Sort key on a projected state-exponent tuple; larger = bigger."""
         if self.kind == "degrevlex":
@@ -256,7 +252,7 @@ def buchberger(generators, order=DEFAULT_ORDER):
         return []
     reg = gens[0].reg
     gens = [g.lift(reg) if g.reg != reg else g for g in gens]
-    positions = order.state_positions(reg)
+    positions = list(reg.state_indices)
 
     seeds = []
     seen = set()
@@ -395,7 +391,7 @@ class Ideal:
                 gens.append(clear_param_content(g)[0])
         self.generators = tuple(dict.fromkeys(gens))
         self._gb_cache = {}
-        self._reducers = {}
+        self._reducers = {}  # registry key -> wrapped degrevlex basis
 
     @property
     def is_zero_ideal(self):
@@ -406,54 +402,40 @@ class Ideal:
             self._gb_cache[order.kind] = buchberger(list(self.generators), order)
         return list(self._gb_cache[order.kind])
 
-    def reducer(self, order=DEFAULT_ORDER, reg=None):
-        """(state positions, wrapped basis) for `normal_form` in registry
-        reg (default: the state ring), which may extend the state ring by
-        input symbols; the reduced basis is lifted to reg and cached per
-        order and registry."""
-        reg = reg or self.reg
-        key = (order, reg.key)
-        if key not in self._reducers:
-            positions = order.state_positions(reg)
-            basis = [
-                _GBPoly(g.lift(reg), order, positions)
-                for g in self.groebner_basis(order)
-            ]
-            self._reducers[key] = (positions, basis)
-        return self._reducers[key]
+    def reduce(self, p, normalize=True):
+        """Normal form of p modulo the reduced degrevlex basis.
 
-    def contains(self, p, order=DEFAULT_ORDER):
-        """Ideal membership over the parameter-fraction field."""
+        p is a Polynomial or a RationalFunction (its numerator is used) over
+        any registry with the ideal's states, inputs and parameters, at any
+        horizon; everything except the states acts as a coefficient.  The
+        basis is lifted to p's registry and wrapped once per registry.
+        """
         if isinstance(p, RationalFunction):
             p = p.num
-        p = to_state_ring(p)
-        if p.reg.key != self.reg.key:
-            raise ValueError("membership test across different state rings")
-        if p.is_zero:
-            return True
-        positions, basis = self.reducer(order)
-        if not basis:
-            return False
-        return normal_form(p, basis, order, positions).is_zero
-
-    def reduce(self, p, order=DEFAULT_ORDER, normalize=True):
-        """Normal form of a state-ring polynomial modulo the cached basis."""
-        if isinstance(p, RationalFunction):
-            p = p.num
-        p = to_state_ring(p)
-        if p.reg.key != self.reg.key:
+        reg = p.reg
+        if not reg.compatible(self.reg):
             raise ValueError("reduction across different state rings")
         if p.is_zero:
             return p
-        positions, basis = self.reducer(order)
+        positions = list(reg.state_indices)
+        basis = self._reducers.get(reg.key)
+        if basis is None:
+            basis = self._reducers[reg.key] = [
+                _GBPoly(g.lift(reg), DEFAULT_ORDER, positions)
+                for g in self.groebner_basis()
+            ]
         if not basis:
             return p
-        return normal_form(p, basis, order, positions, normalize=normalize)
+        return normal_form(p, basis, DEFAULT_ORDER, positions, normalize)
 
-    def equal(self, other, order=DEFAULT_ORDER):
+    def contains(self, p):
+        """Ideal membership over the field of the parameters and inputs."""
+        return self.reduce(p).is_zero
+
+    def equal(self, other):
         """True iff the two ideals coincide (mutual containment)."""
-        return all(other.contains(g, order) for g in self.generators) and all(
-            self.contains(g, order) for g in other.generators
+        return all(other.contains(g) for g in self.generators) and all(
+            self.contains(g) for g in other.generators
         )
 
     def __add__(self, other):
@@ -467,16 +449,15 @@ class Ideal:
         gb = self.groebner_basis()
         return any(g.is_constant and not g.is_zero for g in gb)
 
-    def is_zero_dimensional(self, order=DEFAULT_ORDER):
+    def is_zero_dimensional(self):
         """True iff the state variety is finite (over the complex numbers)."""
         if self.is_zero_ideal:
             return False
-        gb = self.groebner_basis(order)
+        gb = self.groebner_basis()
         if any(g.is_constant for g in gb):
             return True  # empty variety
-        reg = gb[0].reg
-        positions = order.state_positions(reg)
-        leads = [_lead_monomial(g, order, positions) for g in gb]
+        positions = list(self.reg.state_indices)
+        leads = [_lead_monomial(g, DEFAULT_ORDER, positions) for g in gb]
         for axis in range(len(positions)):
             if not any(
                 l[axis] > 0 and all(x == 0 for k, x in enumerate(l) if k != axis)
@@ -550,7 +531,7 @@ def _sign_change_witness(q):
     return False
 
 
-def radical_heuristic(ideal, order=DEFAULT_ORDER):
+def radical_heuristic(ideal):
     """Best-effort real-radical reduction.
 
     Returns (Ideal, certified).  The output J always satisfies
@@ -566,7 +547,7 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER):
         return ideal, True
 
     new_gens = []
-    for g in ideal.groebner_basis(order):
+    for g in ideal.groebner_basis():
         split = _sos_split(g)
         if split is not None:
             new_gens.extend(split)
@@ -574,7 +555,7 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER):
         new_gens.append(square_free_part(g))
 
     J = Ideal(reg, new_gens)
-    gb = J.groebner_basis(order)
+    gb = J.groebner_basis()
 
     # trivial ideal
     if J.contains_one():
@@ -587,8 +568,8 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER):
     if all(g.total_degree() <= 1 for g in gb):
         return Ideal(reg, gb), True
     # zero-dimensional: rebuild the vanishing ideal of the real points
-    if not J.uses_parameters() and J.is_zero_dimensional(order):
-        sol = solve_zero_dim(J, order)
+    if not J.uses_parameters() and J.is_zero_dimensional():
+        sol = solve_zero_dim(J)
         if sol.status == "points":
             if not sol.points:
                 return Ideal(reg, [reg.one()]), True
@@ -602,7 +583,7 @@ def radical_heuristic(ideal, order=DEFAULT_ORDER):
                 reg,
                 [q] + [q.diff(reg.name(i)) for i in sorted(q.variables_used())],
             )
-            finite_sing = sing.contains_one() or sing.is_zero_dimensional(order)
+            finite_sing = sing.contains_one() or sing.is_zero_dimensional()
             if finite_sing and _sign_change_witness(q):
                 return J, True
     return J, False
@@ -658,7 +639,7 @@ def vanishing_ideal(reg, points):
     return Ideal(reg, I.groebner_basis())
 
 
-def solve_zero_dim(ideal, order=DEFAULT_ORDER):
+def solve_zero_dim(ideal):
     """All real solutions of a zero-dimensional ideal, as exact points.
 
     Positive-dimensional input is a tagged outcome, not an error; ideals
@@ -675,7 +656,7 @@ def solve_zero_dim(ideal, order=DEFAULT_ORDER):
         )
     if ideal.contains_one():
         return SolveResult("points", points=[])
-    if not ideal.is_zero_dimensional(order):
+    if not ideal.is_zero_dimensional():
         return SolveResult(
             "not_zero_dimensional", message="variety has positive dimension"
         )
@@ -744,6 +725,6 @@ def _coefficients(g, idx):
     return coeffs
 
 
-def ideal_equal(a, b, order=DEFAULT_ORDER):
-    return a.equal(b, order)
+def ideal_equal(a, b):
+    return a.equal(b)
 

@@ -240,6 +240,27 @@ class TestErrors:
             assert exc.value.code == EXIT_PARSE
             assert "horizon must be >= 1" in capsys.readouterr().err
 
+    def test_nonpositive_budget_grid_or_samples_is_a_usage_error(self, capsys):
+        rank = ["rank", path("coil"), *COIL_BIND, "--x", "0,0", "--k", "1"]
+        scan = ["scan1d", path("sinemap"), "--k", "1"]
+        backward = ["backward", "--inverse", path("coil_reversed")]
+        for argv, message in (
+            (["index", path("coil"), "--max-k", "0"], "--max-k"),
+            (["index", path("coil"), "--max-k", "-1"], "--max-k"),
+            (["singular", path("coil"), "--max-k", "0"], "--max-k"),
+            (backward + ["--max-k", "0"], "--max-k"),
+            (rank + ["--samples", "0"], "--samples"),
+            (scan + ["--grid", "0.5", "--samples", "0"], "--samples"),
+            (scan + ["--grid", "0"], "--grid"),
+            (scan + ["--grid", "-0.5"], "--grid"),
+            (scan + ["--grid", "inf"], "--grid"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"argument {message}:" in captured.err
+
 
 class TestAnalysisFailure:
     def test_analysis_error_is_not_a_parse_error(self, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from accesskit import (
     solve_zero_dim,
 )
 from accesskit import groebner
-from accesskit.analysis import _mixed_reduce
 from accesskit.errors import ResourceBudgetError, VerificationError
 from accesskit.groebner import (
     MonomialOrder,
@@ -373,7 +372,7 @@ class TestNormalForm:
         reg = VariableRegistry(names, (), (), 0)
         xs = sympy.symbols(names)
         order = MonomialOrder(kind)
-        positions = order.state_positions(reg)
+        positions = list(reg.state_indices)
         sym_order = "grevlex" if kind == "degrevlex" else "lex"
 
         def to_sympy(p):
@@ -398,6 +397,7 @@ class TestNormalForm:
             G = sympy.groebner([to_sympy(g) for g in gens], *xs, order=sym_order)
             basis = [_GBPoly(from_sympy(g), order, positions) for g in G.exprs]
             ideal = Ideal(reg, gens)
+            own = [_GBPoly(g, order, positions) for g in ideal.groebner_basis(order)]
             for _ in range(4):
                 p = _random_poly(reg, rng, names, 5, deg + 2)
                 _, rem = sympy.reduced(to_sympy(p), G.exprs, *xs, order=sym_order)
@@ -405,7 +405,9 @@ class TestNormalForm:
                 got = normal_form(p, basis, order, positions, normalize=False)
                 assert got == want
                 # the ideal's own basis leaves the same (unique) remainder
-                assert ideal.reduce(p, order, normalize=False) == want
+                assert normal_form(p, own, order, positions, normalize=False) == want
+                if kind == "degrevlex":  # the order of `Ideal.reduce`
+                    assert ideal.reduce(p, normalize=False) == want
                 checked += 1
         assert checked >= 40
 
@@ -425,20 +427,19 @@ class TestNormalForm:
             want = target.zero()
             for mono, coeff in collect_by_class(p, "input").items():
                 want = want + mono * ideal.reduce(coeff, normalize=False).lift(target)
-            assert _mixed_reduce(p, ideal) == want
+            assert ideal.reduce(p, normalize=False) == want
 
     def test_step_budget_keeps_partial_basis(self, reg, monkeypatch):
         x1, x2 = reg.var("x1"), reg.var("x2")
         ideal = Ideal(reg, [x1 - x2, x2 * x2 - reg.one()])
-        positions, basis = ideal.reducer()
         p = (x1 + x2) ** 4
         with monkeypatch.context() as patch:
             patch.setattr(groebner, "_STEP_CAP", 2)
             with pytest.raises(ResourceBudgetError) as err:
-                normal_form(p, basis, groebner.DEFAULT_ORDER, positions)
+                ideal.reduce(p)
         assert err.value.partial
-        assert err.value.partial == [g.poly for g in basis]
-        assert not normal_form(p, basis, groebner.DEFAULT_ORDER, positions).is_zero
+        assert err.value.partial == ideal.groebner_basis()
+        assert not ideal.reduce(p).is_zero
 
     def test_parametric_leading_coefficient(self, reg):
         x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
@@ -449,3 +450,64 @@ class TestNormalForm:
         assert ideal.reduce(x1 * x1) == x2 * x2
         # an irreducible part found before a pseudo step is scaled by T too
         assert ideal.reduce(x2**3 + x1) == T * x2**3 - x2
+
+
+class TestMixedMembership:
+    """Membership of state x input polynomials: the inputs act as
+    coefficients, so it holds iff every input-monomial coefficient is a
+    member, and it agrees with sympy's membership in I*K(T)[x, u]."""
+
+    @pytest.mark.parametrize("params", [(), ("T",)])
+    def test_matches_coefficients_and_sympy(self, params):
+        sympy = pytest.importorskip("sympy")
+        reg = VariableRegistry(("x1", "x2"), ("u",), params, 2)
+        syms = {n: sympy.Symbol(n) for n in reg.names()}
+        T = syms.get("T", sympy.Symbol("T"))
+        xs = [syms[n] for n in reg.states]
+        us = [syms[n] for n in ("u", "u(1)")]
+        names = reg.names()
+
+        def to_sympy(p):
+            return sympy.Add(
+                *(
+                    sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(syms[n] ** k for n, k in zip(names, e)))
+                    for e, c in p.terms.items()
+                )
+            )
+
+        rng = random.Random(23 + len(params))
+        outcomes = []
+        for _ in range(6):
+            gens = [_random_poly(reg, rng, ("x1", "x2", *params), 3, 2) for _ in "ab"]
+            gens = [g for g in gens if not g.is_constant]
+            if not gens:
+                continue
+            ideal = Ideal(reg, gens)
+            G = sympy.groebner(
+                [to_sympy(g) for g in gens],
+                *xs,
+                *us,
+                order="grevlex",
+                domain=sympy.QQ.frac_field(T),
+            )
+            for trial in range(6):
+                if trial % 2:
+                    p = _random_poly(reg, rng, names, 3, 3)
+                else:  # a member: sum of h_i * g_i, the h_i with inputs
+                    hs = [_random_poly(reg, rng, names, 3, 2) for _ in gens]
+                    p = sum((h * g for h, g in zip(hs, gens)), reg.zero())
+                got = ideal.contains(p)
+                coeffs = collect_by_class(p, "input").values()
+                assert got == all(ideal.contains(c) for c in coeffs)
+                assert got == G.contains(to_sympy(p))
+                outcomes.append(got)
+        assert len(outcomes) >= 24 and True in outcomes and False in outcomes
+
+    def test_other_state_names_are_refused(self, reg):
+        ideal = Ideal(reg, [reg.var("x1")])
+        other = VariableRegistry(("y1", "y2"), ("u",), ("T",), 2)
+        with pytest.raises(ValueError):
+            ideal.contains(other.var("y1"))
+        with pytest.raises(ValueError):
+            ideal.reduce(other.var("y1"), normalize=False)
