@@ -28,7 +28,6 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
-    MonomialOrder,
     ideal_equal,
     radical_heuristic,
     solve_zero_dim,
@@ -72,7 +71,6 @@ __all__ = [
     "AnalysisReport",
     "DegenerateDenominatorError",
     "Ideal",
-    "MonomialOrder",
     "ParseError",
     "PointVerdict",
     "PoleError",

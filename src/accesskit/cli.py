@@ -145,6 +145,19 @@ def _point_arg(text, n):
     return tuple(Fraction(p) for p in parts)
 
 
+def _interval(text):
+    """A 'lo,hi' range with finite ends and lo < hi, as (lo, hi)."""
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not -math.inf < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a range lo,hi with finite ends and lo < hi"
+        )
+    return lo, hi
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="accesskit",
@@ -195,8 +208,8 @@ def main(argv=None):
     p.add_argument("--grid", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--x-range", default="0,2")
-    p.add_argument("--u-range", default="-1,1")
+    p.add_argument("--x-range", type=_interval, default="0,2")
+    p.add_argument("--u-range", type=_interval, default="-1,1")
     p = sub.add_parser(
         "backward", help="backward accessibility via a supplied inverse system"
     )
@@ -251,13 +264,11 @@ def _dispatch(args, started):
 
     if cmd == "scan1d":
         step = to_numeric_step(spec, params=binds)
-        xr = [float(v) for v in args.x_range.split(",")]
-        ur = [float(v) for v in args.u_range.split(",")]
         sets = _analyse(
             grid_scan_1d,
             step,
-            xr,
-            ur,
+            args.x_range,
+            args.u_range,
             args.k,
             grid=args.grid,
             samples=args.samples,

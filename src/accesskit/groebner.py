@@ -43,35 +43,10 @@ _WITNESS_SEED = 0x5EED
 _WITNESS_TRIES = 400
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Term order on the state variables."""
-
-    kind: str = "degrevlex"
-
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def key(self, proj):
-        """Sort key on a projected state-exponent tuple; larger = bigger."""
-        if self.kind == "degrevlex":
-            return grevlex_key(proj)
-        return tuple(proj)
-
-
-DEFAULT_ORDER = MonomialOrder()
-
-
-def _project(e, positions):
-    return tuple(e[i] for i in positions)
-
-
-def _shift_tuple(arity, positions, proj):
-    out = [0] * arity
-    for i, p in zip(positions, proj):
-        out[i] = p
-    return tuple(out)
+def _shift_tuple(reg, proj):
+    """Full exponent of reg with the state exponents proj and zeros elsewhere."""
+    spos = reg.state_indices
+    return (0,) * spos.start + tuple(proj) + (0,) * (reg.arity - spos.stop)
 
 
 def _divides(a, b):
@@ -138,19 +113,19 @@ def clear_param_content(p):
 class _GBPoly:
     """Basis element with cached order data.
 
-    Besides the leading state monomial and its coefficient, it keeps the
-    other state-monomial groups ready to be added into a polynomial under
-    reduction: negated and, when the leading coefficient is a constant,
-    divided by it.
+    Besides the leading state monomial under the sort key `key` and its
+    coefficient, it keeps the other state-monomial groups ready to be added
+    into a polynomial under reduction: negated and, when the leading
+    coefficient is a constant, divided by it.
     """
 
     __slots__ = ("poly", "lead", "lead_coeff", "sugar", "lc", "tail")
 
-    def __init__(self, poly, order, positions, sugar=None):
+    def __init__(self, poly, key=grevlex_key, sugar=None):
         self.poly = poly
         self.sugar = sugar if sugar is not None else poly.total_degree()
-        groups = _split(poly.terms, positions)
-        self.lead = max(groups, key=order.key)
+        groups = _split(poly.terms, poly.reg.state_indices)
+        self.lead = max(groups, key=key)
         self.lead_coeff = Polynomial(poly.reg, groups.pop(self.lead), _clean=True)
         lc = self.lead_coeff
         self.lc = lc.constant_value() if lc.is_constant else None
@@ -158,13 +133,9 @@ class _GBPoly:
         self.tail = [(m, _scale_terms(t, scale)) for m, t in groups.items()]
 
 
-def _lead_monomial(p, order, positions):
-    """Leading state monomial of a nonzero p, projected to positions."""
-    return max((_project(e, positions) for e in p.terms), key=order.key)
-
-
-def normal_form(p, basis, order, positions, normalize=True):
-    """Pseudo normal form of p modulo a list of _GBPoly.
+def normal_form(p, basis, key=grevlex_key, normalize=True):
+    """Pseudo normal form of p modulo a list of _GBPoly, in the term order
+    whose sort key on state exponents is `key`.
 
     Variables other than the states (parameters, inputs) act as
     coefficients.  Membership in the ideal over the parameter-fraction
@@ -182,8 +153,8 @@ def normal_form(p, basis, order, positions, normalize=True):
     if p.is_zero:
         return p
     reg = p.reg
-    key = order.key
-    work = _split(p.terms, positions)
+    spos = reg.state_indices
+    work = _split(p.terms, spos)
     rem = {}  # irreducible groups; all larger than anything left in work
     steps = 0
     while work:
@@ -221,8 +192,7 @@ def normal_form(p, basis, order, positions, normalize=True):
     for m, t in rem.items():
         for r, c in t.items():
             e = list(r)
-            for i, x in zip(positions, m):
-                e[i] = x
+            e[spos.start : spos.stop] = m
             out[tuple(e)] = c
     out = Polynomial(reg, out, _clean=True)
     if out.is_zero or not normalize:
@@ -230,29 +200,31 @@ def normal_form(p, basis, order, positions, normalize=True):
     return clear_param_content(out)[0]
 
 
-def _spoly(f, g, order, positions, reg):
+def _spoly(f, g):
+    reg = f.poly.reg
     lcm = tuple(max(a, b) for a, b in zip(f.lead, g.lead))
-    sf = _shift_tuple(reg.arity, positions, tuple(a - b for a, b in zip(lcm, f.lead)))
-    sg = _shift_tuple(reg.arity, positions, tuple(a - b for a, b in zip(lcm, g.lead)))
+    sf = _shift_tuple(reg, (a - b for a, b in zip(lcm, f.lead)))
+    sg = _shift_tuple(reg, (a - b for a, b in zip(lcm, g.lead)))
     tf = Polynomial(reg, _addmul_terms({}, Fraction(1), sf, f.poly.terms), _clean=True)
     tg = Polynomial(reg, _addmul_terms({}, Fraction(1), sg, g.poly.terms), _clean=True)
     s = g.lead_coeff * tf - f.lead_coeff * tg
     return clear_param_content(s)[0] if not s.is_zero else s
 
 
-def buchberger(generators, order=DEFAULT_ORDER):
+def buchberger(generators, key=grevlex_key):
     """Reduced Groebner basis via Buchberger with sugar selection.
 
-    Both classic pair criteria (coprime leading monomials; chain criterion)
-    are applied.  Raises ResourceBudgetError carrying the partial basis when
-    the degree or step budget is exceeded.
+    The term order on the states is given by its sort key on state
+    exponents (larger = bigger): `grevlex_key` for degrevlex, `tuple` for
+    lex.  Both classic pair criteria (coprime leading monomials; chain
+    criterion) are applied.  Raises ResourceBudgetError carrying the
+    partial basis when the degree or step budget is exceeded.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         return []
     reg = gens[0].reg
     gens = [g.lift(reg) if g.reg != reg else g for g in gens]
-    positions = list(reg.state_indices)
 
     seeds = []
     seen = set()
@@ -260,18 +232,17 @@ def buchberger(generators, order=DEFAULT_ORDER):
         gp = clear_param_content(g)[0]
         if not gp.is_zero and gp not in seen:
             seen.add(gp)
-            seeds.append(_GBPoly(gp, order, positions))
-    seeds.sort(key=lambda g: (g.sugar, len(g.poly.terms), order.key(g.lead)))
+            seeds.append(_GBPoly(gp, key))
+    seeds.sort(key=lambda g: (g.sugar, len(g.poly.terms), key(g.lead)))
 
     basis = []
     for g in seeds:
         r = g.poly
         if basis:
-            r = normal_form(r, basis, order, positions)
+            r = normal_form(r, basis, key)
             if r.is_zero:
                 continue
-            r = clear_param_content(r)[0]
-        basis.append(_GBPoly(r, order, positions))
+        basis.append(_GBPoly(r, key))
 
     pairs = set()
 
@@ -298,7 +269,7 @@ def buchberger(generators, order=DEFAULT_ORDER):
             lcm = lcm_of(i, j)
             si = basis[i].sugar + sum(lcm) - sum(basis[i].lead)
             sj = basis[j].sugar + sum(lcm) - sum(basis[j].lead)
-            return (max(si, sj), order.key(lcm))
+            return (max(si, sj), key(lcm))
 
         i, j = min(pairs, key=pair_sugar)
         pairs.discard((i, j))
@@ -320,10 +291,10 @@ def buchberger(generators, order=DEFAULT_ORDER):
                 break
         if skip:
             continue
-        s = _spoly(basis[i], basis[j], order, positions, reg)
+        s = _spoly(basis[i], basis[j])
         if s.is_zero:
             continue
-        r = normal_form(s, basis, order, positions)
+        r = normal_form(s, basis, key)
         if r.is_zero:
             continue
         if r.total_degree() > _DEGREE_CAP:
@@ -335,50 +306,40 @@ def buchberger(generators, order=DEFAULT_ORDER):
             basis[i].sugar + sum(lcm) - sum(basis[i].lead),
             basis[j].sugar + sum(lcm) - sum(basis[j].lead),
         )
-        basis.append(_GBPoly(r, order, positions, sugar))
+        basis.append(_GBPoly(r, key, sugar))
         add_pairs(len(basis) - 1)
 
-    return _interreduce(basis, order, positions, reg)
+    return _interreduce(basis, key)
 
 
-def _interreduce(basis, order, positions, reg):
-    # drop elements whose leading monomial is divisible by another's
-    keep = []
-    for i, g in enumerate(basis):
-        dominated = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            if _divides(h.lead, g.lead) and (
-                h.lead != g.lead or j < i
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            if not others:
-                continue
-            r = normal_form(keep[i].poly, others, order, positions)
-            if r.is_zero:
-                keep.pop(i)
-                changed = True
-                break
-            if r != keep[i].poly:
-                keep[i] = _GBPoly(clear_param_content(r)[0], order, positions)
-                changed = True
-                break
-    out = [clear_param_content(g.poly)[0] for g in keep]
-    out.sort(key=lambda p: order.key(_lead_monomial(p, order, positions)))
-    return out
+def _interreduce(basis, key):
+    """The reduced basis of a Groebner basis, in increasing order.
+
+    Drop each element whose leading monomial another element's divides (of
+    equal leading monomials, the first is kept), then replace each
+    remaining element, once, by its normal form modulo the others.  A
+    normal form keeps the leading monomial, so the leading monomials never
+    change and an element stays reduced once it is reduced (Cox, Little &
+    O'Shea, Ideals, Varieties, and Algorithms, section 2.7).
+    """
+    keep = [
+        g
+        for i, g in enumerate(basis)
+        if not any(
+            _divides(h.lead, g.lead) and (h.lead != g.lead or j < i)
+            for j, h in enumerate(basis)
+            if j != i
+        )
+    ]
+    if len(keep) > 1:
+        for i, g in enumerate(keep):
+            keep[i] = _GBPoly(normal_form(g.poly, keep[:i] + keep[i + 1 :], key), key)
+    return [g.poly for g in sorted(keep, key=lambda g: key(g.lead))]
 
 
 class Ideal:
-    """Finite generator set in the state ring with a cached reduced basis."""
+    """Finite generator set in the state ring with its reduced degrevlex
+    basis, computed once."""
 
     def __init__(self, reg, generators):
         self.reg = VariableRegistry(reg.states, reg.inputs, reg.params, horizon=0)
@@ -390,17 +351,18 @@ class Ideal:
             if not g.is_zero:
                 gens.append(clear_param_content(g)[0])
         self.generators = tuple(dict.fromkeys(gens))
-        self._gb_cache = {}
-        self._reducers = {}  # registry key -> wrapped degrevlex basis
+        self._basis = None
+        self._reducers = {}  # registry key -> wrapped basis
 
     @property
     def is_zero_ideal(self):
         return not self.generators
 
-    def groebner_basis(self, order=DEFAULT_ORDER):
-        if order.kind not in self._gb_cache:
-            self._gb_cache[order.kind] = buchberger(list(self.generators), order)
-        return list(self._gb_cache[order.kind])
+    def groebner_basis(self):
+        """The reduced degrevlex basis, in increasing order."""
+        if self._basis is None:
+            self._basis = buchberger(list(self.generators))
+        return list(self._basis)
 
     def reduce(self, p, normalize=True):
         """Normal form of p modulo the reduced degrevlex basis.
@@ -417,16 +379,14 @@ class Ideal:
             raise ValueError("reduction across different state rings")
         if p.is_zero:
             return p
-        positions = list(reg.state_indices)
         basis = self._reducers.get(reg.key)
         if basis is None:
             basis = self._reducers[reg.key] = [
-                _GBPoly(g.lift(reg), DEFAULT_ORDER, positions)
-                for g in self.groebner_basis()
+                _GBPoly(g.lift(reg)) for g in self.groebner_basis()
             ]
         if not basis:
             return p
-        return normal_form(p, basis, DEFAULT_ORDER, positions, normalize)
+        return normal_form(p, basis, normalize=normalize)
 
     def contains(self, p):
         """Ideal membership over the field of the parameters and inputs."""
@@ -439,11 +399,10 @@ class Ideal:
         )
 
     def __add__(self, other):
-        """Ideal sum: concatenated generators, inter-reduced."""
+        """Ideal sum: this ideal's basis and the other's generators."""
         if self.reg.key != other.reg.key:
             raise ValueError("ideal sum across different state rings")
-        summed = Ideal(self.reg, self.generators + other.generators)
-        return Ideal(self.reg, summed.groebner_basis())
+        return Ideal(self.reg, self.groebner_basis() + list(other.generators))
 
     def contains_one(self):
         gb = self.groebner_basis()
@@ -456,9 +415,8 @@ class Ideal:
         gb = self.groebner_basis()
         if any(g.is_constant for g in gb):
             return True  # empty variety
-        positions = list(self.reg.state_indices)
-        leads = [_lead_monomial(g, DEFAULT_ORDER, positions) for g in gb]
-        for axis in range(len(positions)):
+        leads = [_GBPoly(g).lead for g in gb]
+        for axis in range(len(self.reg.states)):
             if not any(
                 l[axis] > 0 and all(x == 0 for k, x in enumerate(l) if k != axis)
                 for l in leads
@@ -566,7 +524,7 @@ def radical_heuristic(ideal):
         return R, True
     # linear basis: real radical equals the ideal itself
     if all(g.total_degree() <= 1 for g in gb):
-        return Ideal(reg, gb), True
+        return J, True
     # zero-dimensional: rebuild the vanishing ideal of the real points
     if not J.uses_parameters() and J.is_zero_dimensional():
         sol = solve_zero_dim(J)
@@ -635,8 +593,7 @@ def vanishing_ideal(reg, points):
 
     if not points:
         return Ideal(reg, [reg.one()])
-    I = Ideal(reg, gens(list(reg.states), list(dict.fromkeys(points))))
-    return Ideal(reg, I.groebner_basis())
+    return Ideal(reg, gens(list(reg.states), list(dict.fromkeys(points))))
 
 
 def solve_zero_dim(ideal):
@@ -660,7 +617,7 @@ def solve_zero_dim(ideal):
         return SolveResult(
             "not_zero_dimensional", message="variety has positive dimension"
         )
-    gb = ideal.groebner_basis(MonomialOrder("lex"))
+    gb = buchberger(list(ideal.generators), key=tuple)
     boxes = []
 
     def rec(gens, names, partial):

@@ -254,6 +254,16 @@ class TestErrors:
             (scan + ["--grid", "0"], "--grid"),
             (scan + ["--grid", "-0.5"], "--grid"),
             (scan + ["--grid", "inf"], "--grid"),
+            (scan + ["--x-range", "0"], "--x-range"),
+            (scan + ["--x-range", "2,0"], "--x-range"),
+            (scan + ["--x-range", "1,1"], "--x-range"),
+            (scan + ["--x-range", "0,nan"], "--x-range"),
+            (scan + ["--x-range=-inf,2"], "--x-range"),
+            (scan + ["--x-range", "0,2,3"], "--x-range"),
+            (scan + ["--x-range", "0,a"], "--x-range"),
+            (scan + ["--u-range", "1"], "--u-range"),
+            (scan + ["--u-range", "1,-1"], "--u-range"),
+            (scan + ["--u-range=-1,inf"], "--u-range"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)

@@ -10,6 +10,7 @@ from accesskit import (
     Ideal,
     Polynomial,
     VariableRegistry,
+    algorithm2,
     ideal_equal,
     radical_heuristic,
     solve_zero_dim,
@@ -17,14 +18,15 @@ from accesskit import (
 from accesskit import groebner
 from accesskit.errors import ResourceBudgetError, VerificationError
 from accesskit.groebner import (
-    MonomialOrder,
     _GBPoly,
+    buchberger,
     clear_param_content,
     normal_form,
     vanishing_ideal,
 )
 from accesskit.realroots import _deflate
-from accesskit.ring import collect_by_class
+from accesskit.ring import collect_by_class, grevlex_key
+from conftest import load_model
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,56 @@ class TestGroebnerBasis:
             a = Ideal(reg, gens).groebner_basis()
             b = Ideal(reg, perm).groebner_basis()
             assert [str(g) for g in a] == [str(g) for g in b]
+
+    def test_pair_budget_keeps_partial_basis(self, reg, monkeypatch):
+        # three monomials: every normal form takes one step, the pairs three
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        monkeypatch.setattr(groebner, "_STEP_CAP", 2)
+        with pytest.raises(ResourceBudgetError, match="pair budget") as err:
+            buchberger([x1 * x1, x1 * x2, x2 * x2])
+        assert set(err.value.partial) == {x1 * x1, x1 * x2, x2 * x2}
+
+    def test_degree_budget_keeps_partial_basis(self, reg, monkeypatch):
+        # the S-polynomial of the two generators reduces to x1 - x2^2
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        gens = [x1 * x1 - x2, x1 * x2 - reg.one()]
+        monkeypatch.setattr(groebner, "_DEGREE_CAP", 1)
+        with pytest.raises(ResourceBudgetError, match="degree budget") as err:
+            buchberger(gens)
+        assert set(err.value.partial) == set(gens)
+
+
+def _count_buchberger(monkeypatch):
+    """Record the sort key of every `buchberger` call from here on."""
+    keys = []
+    real = groebner.buchberger
+
+    def counting(generators, key=grevlex_key):
+        keys.append(key)
+        return real(generators, key)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return keys
+
+
+class TestBasisComputedOnce:
+    def test_sum_reuses_its_basis(self, reg, monkeypatch):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        I = Ideal(reg, [x1 * x1 - x2, x1 * x2])
+        J = Ideal(reg, [x2 * x2 - x1])
+        I.groebner_basis()
+        keys = _count_buchberger(monkeypatch)
+        S = I + J
+        assert S.groebner_basis() == S.groebner_basis()
+        assert len(keys) == 1
+
+    def test_one_call_per_chain_step_and_one_lex_solve(self, monkeypatch):
+        keys = _count_buchberger(monkeypatch)
+        report = algorithm2(load_model("fivestep"))
+        assert report.singular_set.kind == "points"
+        assert keys.count(grevlex_key) == len(report.chain.history)
+        assert keys.count(tuple) == 1
+        assert len(keys) == len(report.chain.history) + 1
 
 
 def _random_state_poly(reg, rng, deg=2):
@@ -298,8 +350,7 @@ def _product_vanishing_ideal(reg, points):
 
 def _standard_monomials(basis, nstates, top):
     """Monomials of degree <= top that no leading monomial divides."""
-    order = MonomialOrder()
-    leads = [max(g.terms, key=order.key) for g in basis]
+    leads = [max(g.terms, key=grevlex_key) for g in basis]
     return sum(
         1
         for e in product(range(top + 1), repeat=nstates)
@@ -371,8 +422,7 @@ class TestNormalForm:
         names = ("x1", "x2", "x3")[:nstates]
         reg = VariableRegistry(names, (), (), 0)
         xs = sympy.symbols(names)
-        order = MonomialOrder(kind)
-        positions = list(reg.state_indices)
+        key = grevlex_key if kind == "degrevlex" else tuple
         sym_order = "grevlex" if kind == "degrevlex" else "lex"
 
         def to_sympy(p):
@@ -386,6 +436,9 @@ class TestNormalForm:
             terms = sympy.Poly(q, *xs).terms()
             return Polynomial(reg, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
 
+        def monic(p):
+            return p * (1 / p.terms[max(p.terms, key=key)])
+
         rng = random.Random(41 + nstates)
         deg = 3 if nstates == 2 else 2
         checked = 0
@@ -395,17 +448,21 @@ class TestNormalForm:
             if not gens:
                 continue
             G = sympy.groebner([to_sympy(g) for g in gens], *xs, order=sym_order)
-            basis = [_GBPoly(from_sympy(g), order, positions) for g in G.exprs]
+            basis = [_GBPoly(from_sympy(g), key) for g in G.exprs]
             ideal = Ideal(reg, gens)
-            own = [_GBPoly(g, order, positions) for g in ideal.groebner_basis(order)]
+            own_basis = buchberger(gens, key)
+            # one reduced basis per order: sympy's, up to scaling
+            want_basis = {monic(from_sympy(g)) for g in G.exprs}
+            assert {monic(g) for g in own_basis} == want_basis
+            own = [_GBPoly(g, key) for g in own_basis]
             for _ in range(4):
                 p = _random_poly(reg, rng, names, 5, deg + 2)
                 _, rem = sympy.reduced(to_sympy(p), G.exprs, *xs, order=sym_order)
                 want = from_sympy(rem)
-                got = normal_form(p, basis, order, positions, normalize=False)
+                got = normal_form(p, basis, key, normalize=False)
                 assert got == want
                 # the ideal's own basis leaves the same (unique) remainder
-                assert normal_form(p, own, order, positions, normalize=False) == want
+                assert normal_form(p, own, key, normalize=False) == want
                 if kind == "degrevlex":  # the order of `Ideal.reduce`
                     assert ideal.reduce(p, normalize=False) == want
                 checked += 1
