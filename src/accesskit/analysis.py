@@ -21,13 +21,12 @@ from .errors import (
     PoleError,
     ZeroPolynomialError,
 )
-from .ring import RationalFunction, collect_by_class, square_free_part
+from .ring import RationalFunction, _content_in, collect_by_class, square_free_part
 from .system import (
     bareiss_determinant,
     build_M,
     flow_env,
     minor_determinants,
-    state_only_content,
     submersivity_check,
     symbolic_rank,
     walk_matrix,
@@ -100,7 +99,7 @@ def _locus_factor(den):
     input."""
     if den.is_constant:
         return None
-    cont = state_only_content(den)
+    cont = _content_in(den, den.reg.class_indices("input"))
     if cont.is_constant:
         return None
     sf = square_free_part(to_state_ring(cont))

@@ -208,8 +208,9 @@ def main(argv=None):
     p.add_argument("--grid", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--x-range", type=_interval, default="0,2")
-    p.add_argument("--u-range", type=_interval, default="-1,1")
+    for name, default in (("--x-range", "0,2"), ("--u-range", "-1,1")):
+        hint = f"range lo,hi; one that starts with '-' is written {name}=-1,1"
+        p.add_argument(name, type=_interval, default=default, help=hint)
     p = sub.add_parser(
         "backward", help="backward accessibility via a supplied inverse system"
     )

@@ -21,15 +21,15 @@ from .errors import ResourceBudgetError, VerificationError
 from .realroots import RootBox, _gcd, real_roots
 from .ring import (
     Polynomial,
-    RationalFunction,
     VariableRegistry,
     _addmul_terms,
+    _content_in,
     _mul_terms,
     _scale_terms,
     _split,
     divexact,
     grevlex_key,
-    poly_gcd,
+    poly_gcd,  # unused here; perfbench/tests checks that its tracer rebinds it
     square_free_part,
 )
 
@@ -74,18 +74,6 @@ def to_state_ring(p):
     return Polynomial(base, {e[:k]: c for e, c in p.terms.items()}, _clean=True)
 
 
-def _groups_gcd(reg, groups):
-    """gcd of the polynomials whose term maps are the values of groups (a
-    `_split` of a polynomial): its content in the split-off variables."""
-    cont = None
-    for t in groups.values():
-        cp = Polynomial(reg, t, _clean=True)
-        cont = cp if cont is None else poly_gcd(cont, cp)
-        if cont.is_constant:
-            break
-    return cont
-
-
 def clear_param_content(p):
     """Remove the parameter-polynomial content of p.
 
@@ -101,7 +89,7 @@ def clear_param_content(p):
     lo, hi = spos.start, spos.stop
     cont = None  # a polynomial in the states alone: rational content only
     if any(any(e[:lo]) or any(e[hi:]) for e in p.terms):
-        cont = _groups_gcd(reg, _split(p.terms, spos))
+        cont = _content_in(p, spos)
     if cont is None or cont.is_constant:
         prim, c = p.primitive()
         return prim, reg.const(c)
@@ -345,8 +333,6 @@ class Ideal:
         self.reg = VariableRegistry(reg.states, reg.inputs, reg.params, horizon=0)
         gens = []
         for g in generators:
-            if isinstance(g, RationalFunction):
-                g = g.num
             g = to_state_ring(g)
             if not g.is_zero:
                 gens.append(clear_param_content(g)[0])
@@ -367,13 +353,11 @@ class Ideal:
     def reduce(self, p, normalize=True):
         """Normal form of p modulo the reduced degrevlex basis.
 
-        p is a Polynomial or a RationalFunction (its numerator is used) over
-        any registry with the ideal's states, inputs and parameters, at any
-        horizon; everything except the states acts as a coefficient.  The
-        basis is lifted to p's registry and wrapped once per registry.
+        p is a Polynomial over any registry with the ideal's states, inputs
+        and parameters, at any horizon; everything except the states acts
+        as a coefficient.  The basis is lifted to p's registry and wrapped
+        once per registry.
         """
-        if isinstance(p, RationalFunction):
-            p = p.num
         reg = p.reg
         if not reg.compatible(self.reg):
             raise ValueError("reduction across different state rings")
@@ -521,6 +505,9 @@ def radical_heuristic(ideal):
     # monomial ideal: radical is exact
     if _is_monomial_set(gb):
         R = Ideal(reg, _radical_of_monomials(gb))
+        # every S-polynomial of two monomials is zero, so the minimal
+        # monomials are already the reduced basis
+        R._basis = _interreduce([_GBPoly(g) for g in R.generators], grevlex_key)
         return R, True
     # linear basis: real radical equals the ideal itself
     if all(g.total_degree() <= 1 for g in gb):

@@ -515,38 +515,51 @@ class Polynomial:
 # -- polynomial gcd machinery --------------------------------------------
 
 
+def _split(terms, positions):
+    """Group a term map by its exponents at the given positions.
+
+    Returns {projected exponent: {rest exponent: coefficient}}, where a
+    rest exponent is the full exponent with those positions zeroed.
+    """
+    groups = {}
+    for e, c in terms.items():
+        rest = list(e)
+        for i in positions:
+            rest[i] = 0
+        groups.setdefault(tuple(e[i] for i in positions), {})[tuple(rest)] = c
+    return groups
+
+
 def _to_univar(p, i):
     """View p as univariate in variable i: dict degree -> Polynomial."""
-    out = {}
-    for e, c in p.terms.items():
-        d = e[i]
-        ne = list(e)
-        ne[i] = 0
-        ne = tuple(ne)
-        out.setdefault(d, {})[ne] = c
-    return {d: Polynomial(p.reg, t, _clean=True) for d, t in out.items()}
+    groups = _split(p.terms, (i,))
+    return {d: Polynomial(p.reg, t, _clean=True) for (d,), t in groups.items()}
 
 
 def _from_univar(reg, i, coeffs):
-    total = reg.zero()
+    terms = {}
     for d, c in coeffs.items():
-        if c.is_zero:
-            continue
-        shift = [0] * reg.arity
-        shift[i] = d
-        total = total + Polynomial(
-            reg, _addmul_terms({}, Fraction(1), tuple(shift), c.terms), _clean=True
-        )
-    return total
+        terms.update((e[:i] + (d,) + e[i + 1 :], v) for e, v in c.terms.items())
+    return Polynomial(reg, terms, _clean=True)
 
 
-def _univar_content(coeffs):
+def _gcd_all(polys):
+    """gcd of nonzero polynomials, stopping at the first constant; a lone
+    polynomial is returned as it is."""
     g = None
-    for c in coeffs.values():
+    for c in polys:
         g = c if g is None else poly_gcd(g, c)
-        if g.is_constant and not g.is_zero:
+        if g.is_constant:
             break
     return g
+
+
+def _content_in(p, positions):
+    """gcd of the coefficients of p viewed as a polynomial in the variables
+    at the given positions: the largest factor of p free of them."""
+    return _gcd_all(
+        Polynomial(p.reg, t, _clean=True) for t in _split(p.terms, positions).values()
+    )
 
 
 def _univar_div_coeffs(coeffs, d):
@@ -555,7 +568,6 @@ def _univar_div_coeffs(coeffs, d):
 
 def _pseudo_rem(f, g, reg, i):
     """Pseudo remainder of univariate views f mod g (coeffs are Polynomials)."""
-    df = max(f)
     dg = max(g)
     lg = g[dg]
     r = dict(f)
@@ -878,13 +890,13 @@ def _prs_gcd(f, g):
     vg = g.variables_used()
     i = max(vf | vg)
     if i not in vf:
-        return poly_gcd(f, _univar_content(_to_univar(g, i)))
+        return poly_gcd(f, _content_in(g, (i,)))
     if i not in vg:
-        return poly_gcd(_univar_content(_to_univar(f, i)), g)
+        return poly_gcd(_content_in(f, (i,)), g)
     fu = _to_univar(f, i)
     gu = _to_univar(g, i)
-    cf = _univar_content(fu)
-    cg = _univar_content(gu)
+    cf = _gcd_all(fu.values())
+    cg = _gcd_all(gu.values())
     c = poly_gcd(cf, cg)
     fp = _univar_div_coeffs(fu, cf)
     gp = _univar_div_coeffs(gu, cg)
@@ -894,11 +906,11 @@ def _prs_gcd(f, g):
         r = _pseudo_rem(fp, gp, reg, i)
         if not r:
             gpoly = _from_univar(reg, i, gp)
-            cont = _univar_content(gp)
+            cont = _gcd_all(gp.values())
             return (c * divexact(gpoly, cont)).primitive()[0]
         if max(r) == 0:
             return c.primitive()[0]
-        cont = _univar_content(r)
+        cont = _gcd_all(r.values())
         fp, gp = gp, _univar_div_coeffs(r, cont)
 
 
@@ -959,21 +971,6 @@ def square_free_part(p):
     return divexact(pp, h).primitive()[0]
 
 
-def _split(terms, positions):
-    """Group a term map by its exponents at the given positions.
-
-    Returns {projected exponent: {rest exponent: coefficient}}, where a
-    rest exponent is the full exponent with those positions zeroed.
-    """
-    groups = {}
-    for e, c in terms.items():
-        rest = list(e)
-        for i in positions:
-            rest[i] = 0
-        groups.setdefault(tuple(e[i] for i in positions), {})[tuple(rest)] = c
-    return groups
-
-
 def collect_by_class(p, kind):
     """Group terms by the monomial in variables of the given class.
 
@@ -991,6 +988,26 @@ def collect_by_class(p, kind):
     return out
 
 
+def _canonical(num, den):
+    """The pair scaled so that den is primitive with a positive leading
+    coefficient; a zero numerator gets the denominator 1."""
+    if num.is_zero:
+        return num, num.reg.one()
+    c = den.signed_content()
+    if c != 1:
+        num = num * (1 / c)
+        den = den * (1 / c)
+    return num, den
+
+
+def _raw(num, den):
+    """A RationalFunction holding the pair as given, without a check."""
+    out = object.__new__(RationalFunction)
+    out.num = num
+    out.den = den
+    return out
+
+
 class RationalFunction:
     """Reduced fraction of polynomials with canonical normalization.
 
@@ -998,7 +1015,7 @@ class RationalFunction:
     leading coefficient; numerator and denominator share no factor.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -1006,38 +1023,18 @@ class RationalFunction:
         num, den = unify(num, den)
         if den.is_zero:
             raise ZeroPolynomialError("rational function with zero denominator")
-        if num.is_zero:
-            den = num.reg.one()
-        else:
-            if not den.is_constant:
-                g = poly_gcd(num, den)
-                if not (g.is_constant and g.constant_value() == 1):
-                    num = divexact(num, g)
-                    den = divexact(den, g)
-            c = den.signed_content()
-            if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
-        self.num = num
-        self.den = den
-        self._hash = None
+        if not num.is_zero and not den.is_constant:
+            g = poly_gcd(num, den)
+            if not (g.is_constant and g.constant_value() == 1):
+                num = divexact(num, g)
+                den = divexact(den, g)
+        self.num, self.den = _canonical(num, den)
 
     @classmethod
     def _reduced(cls, num, den):
         """Build from an already-coprime pair; only normalizes the sign
         and content of the denominator."""
-        out = object.__new__(cls)
-        if num.is_zero:
-            den = num.reg.one()
-        else:
-            c = den.signed_content()
-            if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
-        out.num = num
-        out.den = den
-        out._hash = None
-        return out
+        return _raw(*_canonical(num, den))
 
     # -- helpers ----------------------------------------------------------
 
@@ -1064,11 +1061,7 @@ class RationalFunction:
         return NotImplemented
 
     def lift(self, reg):
-        out = object.__new__(RationalFunction)
-        out.num = self.num.lift(reg)
-        out.den = self.den.lift(reg)
-        out._hash = None
-        return out
+        return _raw(self.num.lift(reg), self.den.lift(reg))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -1099,20 +1092,13 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        out._hash = None
-        return out
+        return _raw(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other, self.reg)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other, self.reg)
@@ -1142,24 +1128,10 @@ class RationalFunction:
             raise ZeroPolynomialError("division by zero rational function")
         return self * RationalFunction._reduced(other.den, other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other, self.reg)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("rational function powers must be integers")
-        if n < 0:
-            if self.is_zero:
-                raise ZeroPolynomialError("zero rational function to a negative power")
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        out = object.__new__(RationalFunction)
-        out.num = self.num**n
-        out.den = self.den**n
-        out._hash = None
-        return out
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("rational function powers must be nonnegative integers")
+        return _raw(self.num**n, self.den**n)
 
     def __eq__(self, other):
         other = self._coerce(other, self.reg)
@@ -1168,11 +1140,6 @@ class RationalFunction:
         a, b = unify(self.num, other.num)
         c, d = unify(self.den, other.den)
         return a == b and c == d
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
 
     # -- calculus ---------------------------------------------------------
 

@@ -14,13 +14,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .groebner import _groups_gcd
 from .ring import (
-    INPUT,
     Polynomial,
     RationalFunction,
     VariableRegistry,
-    _split,
     divexact,
     poly_gcd,
 )
@@ -281,14 +278,6 @@ def _det_rational(entries):
         den_total = den_total * den
     det_poly = bareiss_determinant(rows_poly)
     return RationalFunction(det_poly, den_total)
-
-
-def state_only_content(p):
-    """Largest factor of p free of input variables (content in the inputs)."""
-    ipos = p.reg.class_indices(INPUT)
-    if not ipos:
-        return p
-    return _groups_gcd(p.reg, _split(p.terms, ipos))
 
 
 def minor_determinants(sys, k):

@@ -204,6 +204,17 @@ class TestNumeric:
         assert doc["levels"][0]["flagged"] == [0.0, 1.0, 2.0]
         assert doc["levels"][1]["flagged"] == [0.0, 2.0]
 
+    def test_scan1d_negative_range_in_equals_form(self, capsys):
+        # argparse reads a separate value that starts with "-" as an
+        # option, so a range with a negative start is given as --u-range=-1,1
+        scan = ["scan1d", path("sinemap"), "--k", "1", "--grid", "0.5"]
+        _, default = run(capsys, *scan)
+        code, doc = run(capsys, *scan, "--u-range=-1,1")
+        assert code == EXIT_OK
+        default.pop("elapsed_seconds")
+        doc.pop("elapsed_seconds")
+        assert doc == default
+
 
 class TestBackward:
     def test_inverse_coil(self, capsys):

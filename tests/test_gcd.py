@@ -71,8 +71,30 @@ def fresh_gcd(monkeypatch, f, g):
     return poly_gcd(f, g)
 
 
+@pytest.fixture(params=["default", "prs"])
+def path(request, monkeypatch):
+    """The gcd path under test: "prs" turns the coprimality certificate and
+    GCDHEU off, so every nontrivial gcd goes through `_prs_gcd`; the test
+    ends by checking that it ran."""
+    if request.param == "default":
+        yield request.param
+        return
+    calls = []
+    prs = ring._prs_gcd
+
+    def counting(f, g):
+        calls.append(1)
+        return prs(f, g)
+
+    monkeypatch.setattr(ring, "_coprime", lambda f, g: False)
+    monkeypatch.setattr(ring, "_heu_gcd", lambda reg, f, g: None)
+    monkeypatch.setattr(ring, "_prs_gcd", counting)
+    yield request.param
+    assert calls
+
+
 class TestGcdAgainstSympy:
-    def test_coprime_pairs_sharing_every_variable(self, monkeypatch):
+    def test_coprime_pairs_sharing_every_variable(self, monkeypatch, path):
         rng = random.Random(101)
         proven = 0
         for _ in range(40):
@@ -82,10 +104,11 @@ class TestGcdAgainstSympy:
             assert fresh_gcd(monkeypatch, f, g) == want
             if want.is_constant:
                 proven += _coprime(_int_scale(f), _int_scale(g))
-        # the certificate, not GCDHEU, settles nearly all of them
-        assert proven >= 35
+        if path == "default":
+            # the certificate, not GCDHEU, settles nearly all of them
+            assert proven >= 35
 
-    def test_pairs_with_a_common_factor(self, monkeypatch):
+    def test_pairs_with_a_common_factor(self, monkeypatch, path):
         rng = random.Random(102)
         for _ in range(40):
             c = nonconstant(rng, terms=2, deg=2)
@@ -98,7 +121,7 @@ class TestGcdAgainstSympy:
             assert not h.is_constant
             assert not _coprime(_int_scale(f), _int_scale(g))
 
-    def test_pairs_with_monomial_content(self, monkeypatch):
+    def test_pairs_with_monomial_content(self, monkeypatch, path):
         rng = random.Random(103)
         for _ in range(40):
             f = random_poly(rng) * REG.monomial(

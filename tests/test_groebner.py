@@ -110,6 +110,15 @@ class TestBasisComputedOnce:
         assert keys.count(tuple) == 1
         assert len(keys) == len(report.chain.history) + 1
 
+    def test_monomial_radical_comes_with_its_basis(self, reg, monkeypatch):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        R, certified = radical_heuristic(Ideal(reg, [x1**3 * x2, x2**2, x1**2]))
+        assert certified
+        keys = _count_buchberger(monkeypatch)
+        gb = R.groebner_basis()
+        assert keys == []
+        assert gb == buchberger(list(R.generators)) == [x2, x1]
+
 
 def _random_state_poly(reg, rng, deg=2):
     p = reg.zero()

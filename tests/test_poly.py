@@ -289,6 +289,13 @@ class TestNormalization:
         assert f == g
         assert f.num.terms == g.num.terms
 
+    def test_powers_are_nonnegative(self, reg):
+        v = build(reg)
+        f = v["x2"] / (v["x1"] + v["u"])
+        assert f**2 == f * f and (f**0).is_polynomial
+        with pytest.raises(ValueError, match="nonnegative"):
+            f**-1
+
     def test_canonicity_randomized(self, reg):
         rng = random.Random(17)
         for _ in range(300):
