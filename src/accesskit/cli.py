@@ -42,9 +42,15 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_POLE = 4
 
+_MAX_GRID_POINTS = 10**6
+
 
 def _load(path, binds):
-    text = open(path, encoding="utf-8").read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise AccessKitError(f"cannot read {path}: {exc.strerror or exc}") from None
     spec = parse_system(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     if spec.numeric_only:
@@ -64,8 +70,17 @@ def _parse_binds(items):
             name, _, value = piece.partition("=")
             if not _:
                 raise ParseError(f"expected NAME=VALUE in --bind {piece!r}", 0, 0)
-            out[name.strip()] = Fraction(value.strip())
+            out[name.strip()] = _rational(value, "--bind")
     return out
+
+
+def _rational(text, flag):
+    """One rational given to flag; a malformed one is a ParseError."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        message = f"{flag} needs rationals; {text!r} is not one"
+        raise ParseError(message, 0, 0) from None
 
 
 def _rat(x):
@@ -138,11 +153,12 @@ def _emit(doc):
     _sys.stdout.write("\n")
 
 
-def _point_arg(text, n):
+def _rationals(text, n, flag):
+    """The n comma-separated rationals given to flag, as a tuple."""
     parts = [p for p in text.split(",") if p]
     if len(parts) != n:
-        raise ParseError(f"--x needs {n} comma-separated rationals", 0, 0)
-    return tuple(Fraction(p) for p in parts)
+        raise ParseError(f"{flag} needs {n} comma-separated rationals", 0, 0)
+    return tuple(_rational(p, flag) for p in parts)
 
 
 def _interval(text):
@@ -156,6 +172,17 @@ def _interval(text):
             f"{text!r} is not a range lo,hi with finite ends and lo < hi"
         )
     return lo, hi
+
+
+def _nonnegative(text):
+    """A finite float >= 0 (a tolerance or a threshold)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
 
 
 def main(argv=None):
@@ -202,12 +229,17 @@ def main(argv=None):
     p.add_argument("--x", required=True)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_nonnegative, default=1e-8)
     p = common(sub.add_parser("scan1d", help="grid scan of a 1-D numeric map"))
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--grid", type=float, default=0.01)
+    p.add_argument(
+        "--grid",
+        type=float,
+        default=0.01,
+        help=f"grid step; at most {_MAX_GRID_POINTS:,} grid points over --x-range",
+    )
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--threshold", type=_nonnegative, default=1e-6)
     for name, default in (("--x-range", "0,2"), ("--u-range", "-1,1")):
         hint = f"range lo,hi; one that starts with '-' is written {name}=-1,1"
         p.add_argument(name, type=_interval, default=default, help=hint)
@@ -227,8 +259,16 @@ def main(argv=None):
         ap.error("argument --max-k: the horizon budget must be >= 1")
     if args.command in ("rank", "scan1d") and args.samples < 1:
         ap.error("argument --samples: the sample count must be >= 1")
-    if args.command == "scan1d" and not 0 < args.grid < math.inf:
-        ap.error("argument --grid: the grid step must be finite and > 0")
+    if args.command == "scan1d":
+        if not 0 < args.grid < math.inf:
+            ap.error("argument --grid: the grid step must be finite and > 0")
+        # the scan visits round(span / grid) + 1 grid points
+        span = args.x_range[1] - args.x_range[0]
+        if not span / args.grid < _MAX_GRID_POINTS - 0.5:
+            ap.error(
+                f"argument --grid: more than {_MAX_GRID_POINTS:,} grid points "
+                "over --x-range"
+            )
     started = time.time()
     try:
         return _dispatch(args, started)
@@ -319,7 +359,7 @@ def _dispatch(args, started):
         return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
 
     if cmd == "point":
-        x0 = _point_arg(args.x, model.n)
+        x0 = _rationals(args.x, model.n, "--x")
         verdict = _analyse(point_status, model, x0, args.k)
         label = (
             "undefined (excluded denominator locus)"
@@ -347,18 +387,14 @@ def _dispatch(args, started):
         raise AccessKitError(
             f"{cmd} needs values for parameters: {', '.join(model.params)}"
         )
-    x0 = [float(c) for c in _point_arg(args.x, model.n)]
+    x0 = [float(c) for c in _rationals(args.x, model.n, "--x")]
 
     if cmd == "simulate":
         inputs = [
-            [float(Fraction(v)) for v in step.split(",") if v]
+            [float(v) for v in _rationals(step, model.m, "every --u step")]
             for step in args.u.split(";")
             if step
         ]
-        if any(len(u) != model.m for u in inputs):
-            raise ParseError(
-                f"every --u step needs {model.m} comma-separated rationals", 0, 0
-            )
         traj = _analyse(simulate, model, x0, inputs)
         _emit(
             {

@@ -4,6 +4,9 @@ Floating-point counterparts of the symbolic pipeline: trajectory
 simulation, sampled input-Jacobian rank estimation, and a grid scan for
 one-dimensional numeric-only maps.  Verdicts here are evidence, not
 certificates — only the symbolic path proves anything.
+
+The oracle takes bound models: give parameters values first with
+`SystemModel.bind_params`.  A model with free parameters is refused.
 """
 
 from __future__ import annotations
@@ -13,18 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleError, VerificationError
+from .errors import PoleError
 from .system import jacobians
 
 POLE_GUARD = 1e-9
 RANK_TOL = 1e-8
+_H = 1e-6  # step of the central differences
 
 
 def _compile(rf):
-    """Turn a RationalFunction into a fast numeric callable over a
-    name -> float mapping."""
-    reg = rf.reg
-    names = reg.names()
+    """Turn a RationalFunction of a bound model into a fast numeric
+    callable over the values of `_values`, in registry order."""
     num_terms = [(exp, float(c)) for exp, c in rf.num.terms.items()]
     den_terms = [(exp, float(c)) for exp, c in rf.den.terms.items()]
 
@@ -35,7 +37,7 @@ def _compile(rf):
                 prod = c
                 for i, e in enumerate(exp):
                     if e:
-                        prod *= vals[names[i]] ** e
+                        prod *= vals[i] ** e
                 total += prod
             return total
 
@@ -47,33 +49,33 @@ def _compile(rf):
     return ev
 
 
-class _NumericSystem:
-    """Cached numeric evaluators for phi, A and B of a SystemModel."""
-
-    def __init__(self, sys):
-        # names only: a reference to the model would make the cache entry
-        # a cycle, and the model would wait for the cyclic GC
-        self.states = sys.reg.states
-        self.inputs = sys.reg.inputs
-        self.phi = [_compile(f) for f in sys.phi]
-        A, B = jacobians(sys)
-        self.A = [[_compile(e) for e in row] for row in A]
-        self.B = [[_compile(e) for e in row] for row in B]
-
-    def bindings(self, x, u, params):
-        vals = dict(params)
-        for name, v in zip(self.states, x):
-            vals[name] = float(v)
-        for name, v in zip(self.inputs, u):
-            vals[name] = float(v)
-        return vals
-
-
 def _numeric(sys):
+    """(phi, A, B) of a bound model as compiled functions, cached on it;
+    they hold no reference to the model, which would make the entry a cycle."""
     cache = sys._cache
     if "numeric" not in cache:
-        cache["numeric"] = _NumericSystem(sys)
+        if sys.params:
+            raise ValueError(
+                "the numeric oracle needs values for parameters: "
+                + ", ".join(sys.params)
+            )
+        A, B = jacobians(sys)
+        cache["numeric"] = (
+            [_compile(f) for f in sys.phi],
+            [[_compile(e) for e in row] for row in A],
+            [[_compile(e) for e in row] for row in B],
+        )
     return cache["numeric"]
+
+
+def _values(sys, x, u):
+    """A state and an input step as one tuple of floats: states, then inputs."""
+    if len(x) != sys.n or len(u) != sys.m:
+        raise ValueError(
+            f"{sys.name} takes {sys.n} state and {sys.m} input values, "
+            f"got {len(x)} and {len(u)}"
+        )
+    return (*map(float, x), *map(float, u))
 
 
 @dataclass
@@ -81,52 +83,42 @@ class Trajectory:
     states: list
     inputs: list
 
-    def __iter__(self):
-        return iter(self.states)
 
-
-def simulate(sys, x0, inputs, params=None):
+def simulate(sys, x0, inputs):
     """Iterate the state-update map from x0 under the given input
     sequence.  Raises PoleError (with the step index) when a denominator
     magnitude falls below the pole guard."""
-    num = _numeric(sys)
-    params = {k: float(v) for k, v in (params or {}).items()}
+    phi = _numeric(sys)[0]
     x = [float(v) for v in x0]
-    states = [list(x)]
+    states = [x]
     for t, u in enumerate(inputs):
-        vals = num.bindings(x, u, params)
+        vals = _values(sys, x, u)
         try:
-            x = [f(vals) for f in num.phi]
+            x = [f(vals) for f in phi]
         except PoleError as exc:
             raise PoleError(f"pole at simulation step {t}: {exc}") from None
-        states.append(list(x))
+        states.append(x)
     return Trajectory(states=states, inputs=[list(map(float, u)) for u in inputs])
 
 
-def numeric_access_matrix(sys, x0, inputs, params=None):
+def numeric_access_matrix(sys, x0, inputs):
     """Evaluate the k-step accessibility matrix at (x0, inputs)
     numerically, via the same column-block recursion used symbolically
     but with floating-point Jacobians along the simulated trajectory."""
-    num = _numeric(sys)
-    params = {k: float(v) for k, v in (params or {}).items()}
-    traj = simulate(sys, x0, inputs, params)
-    n, m = sys.n, sys.m
+    _, A_fns, B_fns = _numeric(sys)
+    traj = simulate(sys, x0, inputs)
     M = None
-    for t, u in enumerate(inputs):
-        vals = num.bindings(traj.states[t], u, params)
-        A = np.array([[f(vals) for f in row] for row in num.A])
-        B = np.array([[f(vals) for f in row] for row in num.B])
+    for x, u in zip(traj.states, inputs):
+        vals = _values(sys, x, u)
+        A = np.array([[f(vals) for f in row] for row in A_fns])
+        B = np.array([[f(vals) for f in row] for row in B_fns])
         M = B if M is None else np.hstack([A @ M, B])
     if M is None:
         raise ValueError("at least one input step required")
-    if M.shape != (n, len(inputs) * m):
-        raise VerificationError(
-            f"accessibility matrix of shape {M.shape}, expected {(n, len(inputs) * m)}"
-        )
     return M
 
 
-def finite_difference_jacobian(sys, x0, inputs, params=None, h=1e-6):
+def finite_difference_jacobian(sys, x0, inputs):
     """Central-difference Jacobian of the k-step end state with respect
     to the stacked input sequence; cross-check for the matrix recursion."""
     k = len(inputs)
@@ -136,11 +128,11 @@ def finite_difference_jacobian(sys, x0, inputs, params=None, h=1e-6):
         for j in range(m):
             up = [list(u) for u in inputs]
             dn = [list(u) for u in inputs]
-            up[t][j] += h
-            dn[t][j] -= h
-            xp = simulate(sys, x0, up, params).states[-1]
-            xn = simulate(sys, x0, dn, params).states[-1]
-            cols.append([(a - b) / (2 * h) for a, b in zip(xp, xn)])
+            up[t][j] += _H
+            dn[t][j] -= _H
+            xp = simulate(sys, x0, up).states[-1]
+            xn = simulate(sys, x0, dn).states[-1]
+            cols.append([(a - b) / (2 * _H) for a, b in zip(xp, xn)])
     return np.array(cols).T
 
 
@@ -153,9 +145,9 @@ class RankEstimate:
     best_inputs: list = field(default_factory=list)
 
 
-def _input_samples(k, m, count, rng, box=1.0):
+def _input_samples(k, m, count, rng):
     """Structured samples (zeros, unit impulses, all-ones) followed by
-    uniform draws from the box."""
+    uniform draws from [-1, 1]."""
     out = [[[0.0] * m for _ in range(k)], [[1.0] * m for _ in range(k)]]
     for t in range(min(k, 3)):
         for j in range(m):
@@ -163,22 +155,20 @@ def _input_samples(k, m, count, rng, box=1.0):
             seq[t][j] = 1.0
             out.append(seq)
     while len(out) < count:
-        out.append(
-            [[rng.uniform(-box, box) for _ in range(m)] for _ in range(k)]
-        )
+        out.append([[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(k)])
     return out[:count]
 
 
-def jacobian_rank(sys, x0, k, samples=25, tol=RANK_TOL, params=None, rng=None):
+def jacobian_rank(sys, x0, k, samples=25, tol=RANK_TOL):
     """Maximum numeric rank of the k-step input Jacobian over sampled
     input sequences.  Rank counts singular values above tol times the
     largest one.  Raises PoleError only if every sample hits a pole."""
-    rng = rng or random.Random(0xACCE55)
+    rng = random.Random(0xACCE55)
     best = None
     ok = 0
     for seq in _input_samples(k, sys.m, samples, rng):
         try:
-            M = numeric_access_matrix(sys, x0, seq, params)
+            M = numeric_access_matrix(sys, x0, seq)
         except PoleError:
             continue
         ok += 1
@@ -202,15 +192,7 @@ def jacobian_rank(sys, x0, k, samples=25, tol=RANK_TOL, params=None, rng=None):
 
 
 def grid_scan_1d(
-    step,
-    x_interval,
-    u_interval,
-    k,
-    grid=0.01,
-    samples=64,
-    threshold=1e-6,
-    rng=None,
-    h=1e-6,
+    step, x_interval, u_interval, k, grid=0.01, samples=64, threshold=1e-6
 ):
     """Estimate the non-accessibility sets of a one-dimensional numeric
     map x' = step(x, u) on a grid.
@@ -221,45 +203,32 @@ def grid_scan_1d(
     sorted lists of flagged grid values.  This is an estimate — labelled
     verdicts, never certificates.
     """
-    rng = rng or random.Random(0x5CA11)
+    rng = random.Random(0x5CA11)
     lo, hi = float(x_interval[0]), float(x_interval[1])
     ulo, uhi = float(u_interval[0]), float(u_interval[1])
-    steps = int(round((hi - lo) / grid))
-    points = [lo + i * grid for i in range(steps + 1)]
     seqs = [[0.0] * k, [uhi] * k, [ulo] * k]
     while len(seqs) < samples:
         seqs.append([rng.uniform(ulo, uhi) for _ in range(k)])
     seqs = seqs[:samples]
 
-    def run(x0, us):
-        x = x0
-        out = []
+    def run(x, us):
         for u in us:
             x = step(x, u)
-            out.append(x)
-        return out
+        return x
 
+    def sensitive(x0, us, i):
+        """Whether x(len(us)) moves faster than the threshold in us[i]."""
+        up, dn = list(us), list(us)
+        up[i] += _H
+        dn[i] -= _H
+        return abs(run(x0, up) - run(x0, dn)) / (2 * _H) > threshold
+
+    # a point insensitive at level j is tested at level j + 1; the first
+    # sensitive level ends its levels
     flagged = [[] for _ in range(k)]
-    for x0 in points:
-        dead_upto = 0
+    for x0 in (lo + i * grid for i in range(round((hi - lo) / grid) + 1)):
         for j in range(1, k + 1):
-            sensitive = False
-            for us in seqs:
-                for i in range(j):
-                    up = list(us[:j])
-                    dn = list(us[:j])
-                    up[i] += h
-                    dn[i] -= h
-                    xs_up = run(x0, up)
-                    xs_dn = run(x0, dn)
-                    if abs(xs_up[j - 1] - xs_dn[j - 1]) / (2 * h) > threshold:
-                        sensitive = True
-                        break
-                if sensitive:
-                    break
-            if sensitive:
+            if any(sensitive(x0, us[:j], i) for us in seqs for i in range(j)):
                 break
-            dead_upto = j
-        for j in range(dead_upto):
-            flagged[j].append(x0)
+            flagged[j - 1].append(x0)
     return flagged

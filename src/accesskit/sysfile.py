@@ -12,6 +12,10 @@ Grammar (one declaration per line, `#` starts a comment):
 Expressions use + - * / ^ with integer and rational literals and
 parentheses; `^` takes an integer exponent.  Every declared state needs
 exactly one update line.  All diagnostics carry line and column.
+
+One evaluator, `_evaluate`, folds an expression tree in any arithmetic
+that supports Python's operators: `to_system_model` runs it over exact
+rational functions, `to_numeric_step` over floats.
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 from .errors import AccessKitError
-from .ring import RationalFunction
+from .ring import RationalFunction, VariableRegistry
 from .system import SystemModel
 
-_FUNCTIONS = ("sin", "cos", "exp")
+# the functions a `numeric` file may call, as float functions
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
 class ParseError(AccessKitError):
@@ -330,6 +337,22 @@ def _names_of(node):
 # Conversions
 
 
+def _evaluate(node, leaf, functions=None):
+    """Fold an expression tree with Python's operators: leaf(node) gives
+    the value of a Num or a Var, `^` raises to the integer literal the
+    parser checked, and a Call applies functions[name]."""
+    if isinstance(node, BinOp):
+        a = _evaluate(node.left, leaf, functions)
+        if node.op == "^":
+            return a ** int(node.right.value)
+        return _OPERATORS[node.op](a, _evaluate(node.right, leaf, functions))
+    if isinstance(node, Neg):
+        return -_evaluate(node.operand, leaf, functions)
+    if isinstance(node, Call):
+        return functions[node.func](_evaluate(node.arg, leaf, functions))
+    return leaf(node)
+
+
 def to_system_model(spec):
     """Build the exact symbolic SystemModel (numeric-only files refuse)."""
     if spec.numeric_only:
@@ -337,33 +360,15 @@ def to_system_model(spec):
             "numeric-only system files have no exact symbolic form; "
             "use the numeric scan path"
         )
-    from .ring import VariableRegistry
-
     reg = VariableRegistry(spec.states, spec.inputs, spec.params, horizon=1)
     env = {n: RationalFunction(reg.var(n)) for n in reg.names()}
 
-    def ev(node):
+    def leaf(node):
         if isinstance(node, Num):
             return RationalFunction(reg.const(node.value))
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, BinOp):
-            a = ev(node.left)
-            if node.op == "^":
-                return a ** int(node.right.value)
-            b = ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        raise AccessKitError(f"cannot build {node!r} symbolically")
+        return env[node.name]
 
-    phi = [ev(spec.updates[s]) for s in spec.states]
+    phi = [_evaluate(spec.updates[s], leaf) for s in spec.states]
     return SystemModel(spec.states, spec.inputs, phi, spec.params, spec.name)
 
 
@@ -378,35 +383,15 @@ def to_numeric_step(spec, params=None):
         raise AccessKitError(
             f"numeric scan needs values for parameters: {', '.join(missing)}"
         )
-    fns = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
     ast = spec.updates[spec.states[0]]
 
-    def ev(node, env):
-        if isinstance(node, Num):
-            return float(node.value)
-        if isinstance(node, Var):
-            if node.name == "pi":
-                return math.pi
-            return env[node.name]
-        if isinstance(node, Neg):
-            return -ev(node.operand, env)
-        if isinstance(node, Call):
-            return fns[node.func](ev(node.arg, env))
-        a = ev(node.left, env)
-        b = ev(node.right, env)
-        return {
-            "+": lambda: a + b,
-            "-": lambda: a - b,
-            "*": lambda: a * b,
-            "/": lambda: a / b,
-            "^": lambda: a**b,
-        }[node.op]()
-
     def step(x, u):
-        env = dict(params)
-        env[spec.states[0]] = x
-        env[spec.inputs[0]] = u
-        return ev(ast, env)
+        env = {**params, spec.states[0]: x, spec.inputs[0]: u, "pi": math.pi}
+
+        def leaf(node):
+            return float(node.value) if isinstance(node, Num) else env[node.name]
+
+        return _evaluate(ast, leaf, _FUNCTIONS)
 
     return step
 

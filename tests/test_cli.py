@@ -282,6 +282,54 @@ class TestErrors:
             captured = capsys.readouterr()
             assert captured.out == "" and f"argument {message}:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "{tmp}/nonexist.sys"],
+            ["index", "{tmp}"],
+            ["check", path("coil"), "--bind", "T=1/0"],
+            ["point", path("coil"), "--x", "1/0,1", "--k", "1"],
+            ["simulate", path("fivestep"), "--x", "0,1", "--u", "1/0"],
+        ],
+        ids=["missing-file", "directory", "bind", "point", "inputs"],
+    )
+    def test_unreadable_file_or_rational_exits_2(self, argv, tmp_path, capsys):
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_meaningless_tolerance_threshold_or_grid_is_a_usage_error(self, capsys):
+        rank = ["rank", path("fivestep"), "--x", "0,1", "--k", "2"]
+        scan = ["scan1d", path("sinemap"), "--k", "1"]
+        for argv, message in (
+            (rank + ["--tol", "inf"], "--tol"),
+            (rank + ["--tol", "-1"], "--tol"),
+            (rank + ["--tol", "nan"], "--tol"),
+            (scan + ["--threshold", "nan"], "--threshold"),
+            (scan + ["--threshold", "-1"], "--threshold"),
+            (scan + ["--threshold", "inf"], "--threshold"),
+            # more grid points than the cap are refused before any scan
+            (scan + ["--grid", "5e-324"], "--grid"),
+            (scan + ["--grid", "1e-300"], "--grid"),
+            (scan + ["--x-range", "0,1", "--grid", "1e-6"], "--grid"),
+            (scan + ["--x-range=-1e308,1e308", "--grid", "1"], "--grid"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"argument {message}:" in captured.err
+
+    def test_zero_tolerance_and_threshold_are_accepted(self, capsys):
+        rank = ["rank", path("fivestep"), "--x", "0,1", "--k", "5"]
+        code, doc = run(capsys, *rank, "--tol", "0")
+        assert (code, doc["rank"]) == (EXIT_OK, 2)
+        scan = ["scan1d", path("integrator"), "--k", "1", "--grid", "0.5"]
+        code, doc = run(capsys, *scan, "--threshold", "0")
+        assert (code, doc["levels"][0]["flagged"]) == (EXIT_OK, [])
+
 
 class TestAnalysisFailure:
     def test_analysis_error_is_not_a_parse_error(self, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Numeric oracle: simulation, matrix recursion, ranks, grid scans."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from accesskit.oracle import (
 )
 from accesskit.sysfile import to_numeric_step
 
-COIL_PARAMS = {"T": 0.1, "a": 1.0, "b": 1.0}
+COIL_PARAMS = {"T": Fraction(1, 10), "a": 1, "b": 1}
 
 
 class TestSimulate:
@@ -37,8 +38,8 @@ class TestSimulate:
 
     def test_deterministic(self, coil):
         us = [[0.3], [-0.2], [0.9]]
-        a = simulate(coil, (1.0, -1.0), us, COIL_PARAMS)
-        b = simulate(coil, (1.0, -1.0), us, COIL_PARAMS)
+        a = simulate(coil.bind_params(COIL_PARAMS), (1.0, -1.0), us)
+        b = simulate(coil.bind_params(COIL_PARAMS), (1.0, -1.0), us)
         assert a.states == b.states
         assert a.inputs == b.inputs
 
@@ -55,21 +56,46 @@ class TestAccessMatrix:
     @pytest.mark.parametrize("name", ["coil", "rational2d", "fivestep"])
     def test_matches_finite_differences(self, request, name):
         sys = request.getfixturevalue(name)
-        params = COIL_PARAMS if name == "coil" else None
+        if name == "coil":
+            sys = sys.bind_params(COIL_PARAMS)
         rng = random.Random(17)
         for _ in range(5):
             x0 = [rng.uniform(0.5, 1.5) for _ in range(sys.n)]
             us = [[rng.uniform(-1, 1)] for _ in range(3)]
             try:
-                M = numeric_access_matrix(sys, x0, us, params)
-                J = finite_difference_jacobian(sys, x0, us, params)
+                M = numeric_access_matrix(sys, x0, us)
+                J = finite_difference_jacobian(sys, x0, us)
             except PoleError:
                 continue
             assert np.max(np.abs(M - J)) < 1e-5
 
     def test_shape(self, coil):
-        M = numeric_access_matrix(coil, (1.0, 1.0), [[0.1]] * 4, COIL_PARAMS)
+        bound = coil.bind_params(COIL_PARAMS)
+        M = numeric_access_matrix(bound, (1.0, 1.0), [[0.1]] * 4)
         assert M.shape == (2, 4)
+
+
+class TestBoundModels:
+    """The oracle runs on bound models and checks the lengths of its values."""
+
+    def test_free_parameters_are_named(self, coil):
+        with pytest.raises(ValueError, match="parameters: T, a, b"):
+            simulate(coil, (1.0, 1.0), [[0.5]])
+        with pytest.raises(ValueError, match="parameters: T, a, b"):
+            jacobian_rank(coil, (1.0, 1.0), 2)
+
+    def test_value_lengths_are_checked(self, coil, fivestep):
+        bound = coil.bind_params(COIL_PARAMS)
+        for sys, x0, us in (
+            (fivestep, (0.0, 1.0), [[1.0], []]),  # a short input step
+            (fivestep, (0.0, 1.0), [[1.0, 2.0]]),  # a long input step
+            (fivestep, (0.0, 1.0, 2.0), [[1.0]]),  # a long state
+            (bound, (1.0,), [[1.0]]),  # a short state
+        ):
+            with pytest.raises(ValueError, match="takes 2 state and 1 input"):
+                simulate(sys, x0, us)
+            with pytest.raises(ValueError, match="takes 2 state and 1 input"):
+                numeric_access_matrix(sys, x0, us)
 
 
 class TestJacobianRank:
@@ -82,22 +108,20 @@ class TestJacobianRank:
         assert len(est.best_inputs) == 5
 
     def test_coil_origin_rank_zero(self, coil):
+        bound = coil.bind_params(COIL_PARAMS)
         for k in (2, 3, 4):
-            assert jacobian_rank(coil, (0.0, 0.0), k, params=COIL_PARAMS).rank == 0
+            assert jacobian_rank(bound, (0.0, 0.0), k).rank == 0
 
     def test_generic_point_full_rank(self, coil, rational2d):
-        assert jacobian_rank(coil, (1.0, 1.0), 2, params=COIL_PARAMS).rank == 2
+        assert jacobian_rank(coil.bind_params(COIL_PARAMS), (1.0, 1.0), 2).rank == 2
         assert jacobian_rank(rational2d, (1.0, 1.0), 2).rank == 2
 
     def test_rank_monotone_in_k(self, fivestep, coil):
         rng = random.Random(23)
-        for sys, params in ((fivestep, None), (coil, COIL_PARAMS)):
+        for sys in (fivestep, coil.bind_params(COIL_PARAMS)):
             for _ in range(5):
                 x0 = [rng.uniform(-1.5, 1.5) for _ in range(sys.n)]
-                ranks = [
-                    jacobian_rank(sys, x0, k, params=params).rank
-                    for k in (2, 3, 4)
-                ]
+                ranks = [jacobian_rank(sys, x0, k).rank for k in (2, 3, 4)]
                 assert ranks == sorted(ranks)
 
 

@@ -1,12 +1,16 @@
 """System-file grammar: parsing, validation, diagnostics, round-trips."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from accesskit import AccessKitError
 from accesskit.sysfile import (
+    Num,
     ParseError,
+    _evaluate,
     parse_system,
     pretty,
     to_numeric_step,
@@ -17,6 +21,24 @@ from conftest import SYSTEMS
 
 def read(name):
     return (SYSTEMS / f"{name}.sys").read_text()
+
+
+def random_expression(rng, depth):
+    """Expression text in x and u over + - * / ^ and small literals."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["x", "u", str(rng.randint(0, 5)), "1/3", "(x - 1)"])
+    if rng.random() < 0.15:
+        return f"({random_expression(rng, depth - 1)})^{rng.randint(0, 3)}"
+    left, right = (random_expression(rng, depth - 1) for _ in "lr")
+    sign = "-" if rng.random() < 0.1 else ""
+    return f"{sign}({left}) {rng.choice('+-*/')} ({right})"
+
+
+
+def reference_value(text, point):
+    """Python's own evaluation of an expression text, in Fractions."""
+    code = re.sub(r"\d+", r"F(\g<0>)", text).replace("^", "**")
+    return eval(code, {"F": Fraction, **point})
 
 
 ALL_NAMES = [p.stem for p in sorted(SYSTEMS.glob("*.sys"))]
@@ -163,3 +185,38 @@ class TestConversions:
         spec = parse_system(read("coil"))
         with pytest.raises(AccessKitError):
             to_numeric_step(spec, {"T": 0.1, "a": 1, "b": 1})
+
+    def test_exact_and_float_steps_evaluate_one_tree(self):
+        # the exact model and the float step fold the same tree; at points
+        # where no divisor of the tree vanishes, a Fraction fold of the tree,
+        # Python's own evaluation of the text and the exact model agree, and
+        # the float step agrees to rounding
+        rng = random.Random(0x5F11E)
+        checked = 0
+        for _ in range(300):
+            text = random_expression(rng, 4)
+            spec = parse_system(f"system r\nstates x\ninputs u\nx' = {text}\n")
+            ast = spec.updates["x"]
+            try:
+                phi = to_system_model(spec).phi[0]
+            except AccessKitError:
+                continue  # a divisor that is identically zero
+            step = to_numeric_step(spec)
+            for _ in range(3):
+                point = {
+                    v: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for v in "xu"
+                }
+
+                def fraction_leaf(node):
+                    return node.value if isinstance(node, Num) else point[node.name]
+
+                try:
+                    exact = reference_value(text, point)
+                except ZeroDivisionError:
+                    continue  # a pole of the tree at this point
+                assert _evaluate(ast, fraction_leaf) == exact, text
+                assert phi.evaluate(point) == exact, text
+                value = step(float(point["x"]), float(point["u"]))
+                assert value == pytest.approx(float(exact), rel=1e-9), text
+                checked += 1
+        assert checked >= 400
