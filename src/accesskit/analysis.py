@@ -17,11 +17,16 @@ from itertools import combinations
 from .groebner import Ideal, radical_heuristic, solve_zero_dim, to_state_ring
 from .errors import (
     DegenerateDenominatorError,
-    IndeterminateError,
     PoleError,
     ZeroPolynomialError,
 )
-from .ring import RationalFunction, _content_in, collect_by_class, square_free_part
+from .ring import (
+    _P61,
+    RationalFunction,
+    _content_in,
+    collect_by_class,
+    square_free_part,
+)
 from .system import (
     bareiss_determinant,
     build_M,
@@ -294,40 +299,100 @@ def _point_matrix(sys, x0, k):
     )
 
 
-def _sample_matrix(sys, x0, values):
-    """The k-step accessibility matrix at exact values, k = len(values):
-    values[t] binds the parameters and the inputs of step t."""
-
-    def bind(x, t):
-        env = dict(values[t])
-        env.update(zip(sys.reg.states, x))
-        return env
-
-    return walk_matrix(sys, x0, len(values), bind, RationalFunction.evaluate)
+# The prime of the modular full-rank certificate.
+_P = _P61
 
 
-# Exact samples `_sampled_full_rank` draws before it gives up.
+def _residue(c):
+    """The image of a rational in F_p; PoleError when p divides its
+    denominator."""
+    if c.denominator == 1:
+        return c.numerator % _P
+    d = c.denominator % _P
+    if not d:
+        raise PoleError("a denominator is divisible by the prime")
+    return c.numerator * pow(d, -1, _P) % _P
+
+
+def _value_mod_p(p, vals):
+    """p mod the prime at residues in registry order."""
+    total = 0
+    for e, c in p.terms.items():
+        v = _residue(c)
+        for x, n in zip(vals, e):
+            if n:
+                v = v * pow(x, n, _P) % _P
+        total += v
+    return total % _P
+
+
+def _ev_mod_p(f, vals):
+    """A RationalFunction mod the prime at residues; PoleError when its
+    denominator vanishes there."""
+    den = _value_mod_p(f.den, vals)
+    if not den:
+        raise PoleError("pole: denominator vanishes modulo the prime")
+    return _value_mod_p(f.num, vals) * pow(den, -1, _P) % _P
+
+
+def _matrix_mod_p(sys, x0, params, inputs):
+    """M_k mod the prime, k = len(inputs), from the rational state x0:
+    params holds the parameter residues and inputs[t] the step-t input
+    residues, in registry order."""
+    bind = lambda x, t: (*params, *x, *inputs[t])
+    x = [_residue(v) for v in x0]
+    return walk_matrix(sys, x, len(inputs), bind, _ev_mod_p, lambda v: v % _P)
+
+
+def _rank_mod_p(rows):
+    """Rank over F_p of a matrix of residues."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        if rank == len(rows):
+            break
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, _P)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % _P
+            if f:
+                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# Samples `_sampled_full_rank` draws before it gives up.
 _SAMPLE_TRIALS = 3
 
 
 def _sampled_full_rank(sys, x0, k):
-    """Certify full rank of the point-pinned matrix by exact sampling.
+    """Certify full rank of the point-pinned matrix by sampling in F_p,
+    p = 2^61 - 1.
 
-    The whole recursion is evaluated over the rationals at random
-    input/parameter values, so no symbolic expression in the inputs is
-    ever built.  The rank at an exact sample bounds the generic rank from
-    below: reaching n is a proof, a deficient sample proves nothing and
-    the caller falls back to symbolic elimination."""
+    The recursion is walked at seeded residues of the parameters and
+    inputs, so no symbolic expression in the inputs is ever built.  Why
+    rank n mod p is a proof: reduction mod p is a ring map from the
+    rationals whose denominators are units mod p.  Each step of the walk
+    checks that the coefficients and the evaluated denominator are such
+    units (`_ev_mod_p`), so the F_p matrix is the image of the rational
+    matrix M_k(x0, u) at an integer point u of the inputs and parameters.
+    A nonzero n x n minor mod p is the image of that minor, which is then
+    nonzero at u, so the minor is nonzero over Q(u, params): the rank is n.
+    A sample with a non-unit is skipped; a deficient sample proves nothing
+    and the caller falls back to symbolic elimination."""
     rng = random.Random(0x5EED)
-    draw = lambda: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
+    draw = lambda count: [rng.randrange(_P) for _ in range(count)]
     for _ in range(_SAMPLE_TRIALS):
-        point = {p: draw() for p in sys.reg.params}
-        values = [{**point, **{u: draw() for u in sys.reg.inputs}} for _ in range(k)]
+        params = draw(len(sys.reg.params))
+        inputs = [draw(sys.m) for _ in range(k)]
         try:
-            M = _sample_matrix(sys, x0, values)
-        except (PoleError, IndeterminateError):
+            M = _matrix_mod_p(sys, x0, params, inputs)
+        except PoleError:
             continue
-        if symbolic_rank(M) == sys.n:
+        if _rank_mod_p(M) == sys.n:
             return True
     return False
 

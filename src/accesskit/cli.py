@@ -54,6 +54,9 @@ def _load(path, binds):
     spec = parse_system(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     if spec.numeric_only:
+        for name in binds:
+            if name not in spec.params:
+                raise ValueError(f"{name!r} is not a parameter of {spec.name}")
         return spec, None, digest
     model = to_system_model(spec)
     if binds:

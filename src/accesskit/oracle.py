@@ -146,17 +146,17 @@ class RankEstimate:
 
 
 def _input_samples(k, m, count, rng):
-    """Structured samples (zeros, unit impulses, all-ones) followed by
-    uniform draws from [-1, 1]."""
-    out = [[[0.0] * m for _ in range(k)], [[1.0] * m for _ in range(k)]]
+    """The first count of: structured samples (zeros, all-ones, unit
+    impulses), then uniform draws from [-1, 1], drawn one at a time."""
+    structured = [[[0.0] * m for _ in range(k)], [[1.0] * m for _ in range(k)]]
     for t in range(min(k, 3)):
         for j in range(m):
             seq = [[0.0] * m for _ in range(k)]
             seq[t][j] = 1.0
-            out.append(seq)
-    while len(out) < count:
-        out.append([[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(k)])
-    return out[:count]
+            structured.append(seq)
+    yield from structured[:count]
+    for _ in range(count - len(structured)):
+        yield [[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(k)]
 
 
 def jacobian_rank(sys, x0, k, samples=25, tol=RANK_TOL):
@@ -206,7 +206,8 @@ def grid_scan_1d(
     rng = random.Random(0x5CA11)
     lo, hi = float(x_interval[0]), float(x_interval[1])
     ulo, uhi = float(u_interval[0]), float(u_interval[1])
-    seqs = [[0.0] * k, [uhi] * k, [ulo] * k]
+    # the first structured sample is u = 0, clamped into the input range
+    seqs = [[min(max(0.0, ulo), uhi)] * k, [uhi] * k, [ulo] * k]
     while len(seqs) < samples:
         seqs.append([rng.uniform(ulo, uhi) for _ in range(k)])
     seqs = seqs[:samples]

@@ -420,10 +420,20 @@ class Polynomial:
         the result lies in their ring: a RationalFunction when any value is
         one, else a Polynomial.  It lives in the largest registry among the
         values (this one when all values are numbers); unbound variables
-        are left in place, under the same name.
+        are left in place, under the same name.  A RationalFunction value
+        with a constant denominator enters as its numerator (a canonical
+        constant denominator is 1), so when every value is a polynomial the
+        sum is built in the polynomial ring, without a gcd per term.
         """
         reg = self.reg
-        values = {reg.index(name): v for name, v in bindings.items()}
+        values = {}
+        rational = False
+        for name, v in bindings.items():
+            if isinstance(v, RationalFunction):
+                rational = True
+                if v.is_polynomial:
+                    v = v.num
+            values[reg.index(name)] = v
         ring = [
             v for v in values.values() if isinstance(v, (Polynomial, RationalFunction))
         ]
@@ -447,6 +457,8 @@ class Polynomial:
                         powers[i, n] = v**n
                     term = term * powers[i, n]
             total = total + term
+        if rational and isinstance(total, Polynomial):
+            return RationalFunction(total)
         return total
 
     # -- normalization helpers -------------------------------------------

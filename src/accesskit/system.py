@@ -5,7 +5,7 @@ The k-step accessibility matrix is built by the recursion
 state and input Jacobians of the transition map and ``<t>`` evaluates
 them along the flow t steps ahead.  `access_steps` is the one
 implementation; its callers choose the domain (symbolic, reduced modulo
-an ideal, state pinned, or exact samples).
+an ideal, state pinned, or residues modulo a prime).
 """
 
 from __future__ import annotations

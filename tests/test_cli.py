@@ -215,6 +215,17 @@ class TestNumeric:
         doc.pop("elapsed_seconds")
         assert doc == default
 
+    def test_scan1d_keeps_inputs_in_u_range(self, tmp_path, capsys):
+        # every input in [1, 2] leaves x' = x + exp(-50 u) flat (derivative
+        # at most 50 exp(-50) < 1e-20); only u = 0, outside the range, moves it
+        f = tmp_path / "expu.sys"
+        f.write_text("system expu\nstates x\ninputs u\nnumeric\nx' = x + exp(-50*u)\n")
+        code, doc = run(
+            capsys, "scan1d", str(f), "--k", "1", "--grid", "0.5", "--u-range", "1,2"
+        )
+        assert code == EXIT_OK
+        assert doc["levels"][0]["flagged"] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
 
 class TestBackward:
     def test_inverse_coil(self, capsys):
@@ -239,6 +250,12 @@ class TestErrors:
     def test_bad_bind(self, capsys):
         code, _ = run(capsys, "check", path("coil"), "--bind", "nonsense")
         assert code == EXIT_PARSE
+
+    def test_unknown_bind_on_numeric_file(self, capsys):
+        code = main(["scan1d", path("sinemap"), "--bind", "zz=1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert "'zz' is not a parameter of sinemap" in captured.err
 
     def test_horizon_below_one_is_a_usage_error(self, capsys):
         for argv in (

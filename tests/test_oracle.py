@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from accesskit import PoleError
 from accesskit.oracle import (
+    _input_samples,
     finite_difference_jacobian,
     grid_scan_1d,
     jacobian_rank,
@@ -115,6 +117,22 @@ class TestJacobianRank:
     def test_generic_point_full_rank(self, coil, rational2d):
         assert jacobian_rank(coil.bind_params(COIL_PARAMS), (1.0, 1.0), 2).rank == 2
         assert jacobian_rank(rational2d, (1.0, 1.0), 2).rank == 2
+
+    def test_input_samples_are_drawn_lazily(self):
+        # each sample is drawn when it is tried, in the order of a list
+        # built up front: 2 + 3 * 2 structured samples, then uniform draws
+        rng = random.Random(3)
+        samples = _input_samples(5, 2, 1000, rng)
+        first = list(islice(samples, 9))
+        drawn = random.Random(3)
+        for _ in range(5 * 2):
+            drawn.uniform(-1.0, 1.0)
+        assert rng.getstate() == drawn.getstate()
+        assert first[:2] == [[[0.0, 0.0]] * 5, [[1.0, 1.0]] * 5]
+        rest = list(samples)
+        assert first + rest == list(_input_samples(5, 2, 1000, random.Random(3)))
+        assert len(first + rest) == 1000
+        assert len(list(_input_samples(5, 2, 3, random.Random(3)))) == 3
 
     def test_rank_monotone_in_k(self, fivestep, coil):
         rng = random.Random(23)

@@ -130,6 +130,46 @@ class TestSubstitute:
             f.substitute({"x1": v["x2"]})
         assert "denominator" in str(exc.value)
 
+    def test_polynomial_valued_rational_bindings(self, reg):
+        # a RationalFunction value with a constant denominator is summed in
+        # the polynomial ring; the result is still a RationalFunction, equal
+        # term for term to the rational sum of the substituted terms
+        rng = random.Random(14)
+        big = reg.with_horizon(3)
+        names = reg.names()
+        for trial in range(200):
+            f = _random_poly(reg, rng, terms=4)
+            values = {}
+            for name in rng.sample(names, rng.randint(1, 4)):
+                g = _random_poly(rng.choice((reg, big)), rng)
+                values[name] = rng.choice(
+                    (
+                        RationalFunction(g * Fraction(1, rng.randint(1, 5))),
+                        g,
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    )
+                )
+            name = rng.choice(list(values))
+            values[name] = RationalFunction(_random_poly(reg, rng))
+            if trial % 4 == 0:  # one value that is not a polynomial
+                den = _random_poly(reg, rng) + reg.var("x1") ** 3
+                values[name] = RationalFunction(values[name].num, den)
+            ring = [v for v in values.values() if not isinstance(v, Fraction)]
+            target = max((v.reg for v in ring), key=lambda r: r.arity)
+            expected = RationalFunction(target.zero())
+            for e, c in f.terms.items():
+                term = RationalFunction(target.const(c))
+                for i, n in enumerate(e):
+                    v = values.get(names[i], target.var(names[i]))
+                    if isinstance(v, Fraction):
+                        v = target.const(v)
+                    term = term * RationalFunction._coerce(v, target) ** n
+                expected = expected + term
+            result = f.substitute(values)
+            assert type(result) is RationalFunction and result.reg == target
+            assert result.num.terms == expected.num.terms
+            assert result.den.terms == expected.den.terms
+
     def test_substitution_evaluation_commutes_randomized(self, reg):
         rng = random.Random(99)
         names = reg.names()

@@ -1,9 +1,11 @@
 """The one M_k recursion: its domains agree entry by entry, its two chain
-engines agree, and the models it walks are freed by reference counting."""
+engines agree, the F_p certificate of point verdicts agrees with symbolic
+elimination, and the models it walks are freed by reference counting."""
 
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,13 +20,16 @@ from accesskit import (
     parse_system,
     point_status,
     simulate,
+    symbolic_rank,
     to_system_model,
 )
-from accesskit.analysis import _point_matrix, _sample_matrix
+from accesskit import analysis
+from accesskit.analysis import _matrix_mod_p, _point_matrix, _residue
 from accesskit.errors import (
     DegenerateDenominatorError,
     IndeterminateError,
     PoleError,
+    ZeroPolynomialError,
 )
 from conftest import load_model
 
@@ -42,7 +47,7 @@ def _evaluate(entries, point):
 
 
 class TestDomainAgreement:
-    """Symbolic, pinned, sampled and float matrices at the same (x, u)."""
+    """Symbolic, pinned, F_p and float matrices at the same (x, u)."""
 
     @pytest.fixture(scope="class")
     def models(self, coil, rational2d, fivestep):
@@ -68,16 +73,18 @@ class TestDomainAgreement:
                         {**dict(zip(sys.reg.states, x)), **inputs},
                     )
                     pinned = _evaluate(_point_matrix(sys, x, k), inputs)
-                    sampled = _sample_matrix(
-                        sys, x, [dict(zip(sys.reg.inputs, step)) for step in us]
-                    )
+                    residues = [[_residue(v) for v in step] for step in us]
+                    modular = _matrix_mod_p(sys, x, [], residues)
                     floats = numeric_access_matrix(sys, x, us)
                 except (PoleError, IndeterminateError, DegenerateDenominatorError):
                     continue  # rational2d: u + x1 = 0 somewhere on the walk
                 checked += 1
                 assert len(symbolic) == sys.n and len(symbolic[0]) == k * sys.m
                 assert pinned == symbolic, (sys.name, k)
-                assert sampled == symbolic, (sys.name, k)
+                assert modular == [[_residue(v) for v in row] for row in symbolic], (
+                    sys.name,
+                    k,
+                )
                 for i in range(sys.n):
                     for j in range(k * sys.m):
                         assert floats[i][j] == pytest.approx(
@@ -121,6 +128,102 @@ class TestEngineAgreement:
         rng = random.Random(5)
         steps = [self._check(_polynomial_map(rng), 3) for _ in range(6)]
         assert sum(n == 2 for n in steps) >= 3
+
+
+def _symbolic_verdict(sys, x0, k):
+    """(in S_k, undefined) by symbolic elimination alone."""
+    try:
+        rank = symbolic_rank(_point_matrix(sys, x0, k))
+    except (DegenerateDenominatorError, PoleError, ZeroPolynomialError):
+        return False, True
+    return rank < sys.n, False
+
+
+class TestPointCertificate:
+    """`point_status`, which first tries the F_p full-rank certificate,
+    against symbolic elimination of the pinned matrix, at k = 1 .. kappa+1.
+    Off-set points of fivestep past k = 4 are left out: their symbolic
+    matrices take seconds each.  Its trajectory point (0, 1) stays in S_k
+    up to k = 4 and is cheap to k = 7."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, coil, coil_reversed, rational2d, fivestep):
+        rng = random.Random(14)
+        seeded_rng = random.Random(5)
+        seeded = [_polynomial_map(seeded_rng) for _ in range(4)]
+        # x1 - 1 vanishes on the state (1, 0) and one step after (0, 1)
+        pole = to_system_model(
+            parse_system(
+                "system pole\nstates x1 x2\ninputs u\n"
+                "x1' = x2\nx2' = x1 + u/(x1 - 1)\n"
+            )
+        )
+        out = []
+        for sys, kappa in (
+            (coil, 3),
+            (coil_reversed, 3),
+            (rational2d, 3),
+            (fivestep, 6),
+            (pole, 2),
+            *((m, 3) for m in seeded),
+        ):
+            points = [(0,) * sys.n] + [
+                tuple(_rat(rng) for _ in range(sys.n)) for _ in range(2)
+            ]
+            if sys is fivestep:
+                points.append((0, 1))
+            if sys is pole:
+                points += [(0, 1), (1, 0)]
+            for x0 in points:
+                top = 4 if sys is fivestep and x0 not in ((0, 0), (0, 1)) else kappa + 1
+                for k in range(1, top + 1):
+                    out.append((sys, x0, k, _symbolic_verdict(sys, x0, k)))
+        return out
+
+    def _check(self, cases):
+        sampled = 0
+        for sys, x0, k, want in cases:
+            v = point_status(sys, x0, k)
+            assert (v.in_S_k, v.undefined) == want, (sys.name, x0, k)
+            sampled += analysis._sampled_full_rank(sys, tuple(map(Fraction, x0)), k)
+        return sampled
+
+    def test_agrees_with_symbolic_elimination(self, cases):
+        assert {w for *_, w in cases} == {(True, False), (False, False), (False, True)}
+        sampled = self._check(cases)
+        # every defined case off the set is certified by sampling
+        assert sampled == sum(w == (False, False) for *_, w in cases)
+
+    @pytest.mark.parametrize("prime", [7, 13])
+    def test_agrees_with_symbolic_elimination_mod_small_prime(
+        self, cases, prime, monkeypatch, coil
+    ):
+        # a small prime makes non-unit coefficients and zero denominators
+        # common; each such sample is skipped, never trusted
+        skipped = Counter()
+        walk = analysis._matrix_mod_p
+
+        def counted(*args):
+            try:
+                return walk(*args)
+            except PoleError as exc:
+                skipped[str(exc)] += 1
+                raise
+
+        monkeypatch.setattr(analysis, "_P", prime)
+        monkeypatch.setattr(analysis, "_matrix_mod_p", counted)
+        bound = coil.bind_params({"T": Fraction(1, prime), "a": 2, "b": 3})
+        extra = [
+            (bound, x0, k, _symbolic_verdict(bound, x0, k))
+            for x0 in ((1, 2), (Fraction(1, prime), 1))
+            for k in (2, 3)
+        ]
+        sampled = self._check(cases + extra)
+        assert sampled > 0
+        assert set(skipped) == {
+            "a denominator is divisible by the prime",
+            "pole: denominator vanishes modulo the prime",
+        }
 
 
 class TestModelsFreed:
