@@ -158,20 +158,12 @@ def _reduced_step_generators(sys, k, current):
     n, m = sys.n, sys.m
     if k * m < n:
         return []
-    target = sys.reg.with_horizon(k)
     # parameter-free: the basis has constant leading coefficients, so the
     # normal form is congruent to p and linear in the input monomials
     red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
-
-    def bind(x, t):
-        env = dict(zip(sys.reg.states, x))
-        for base in sys.reg.inputs:
-            env[base] = target.var(f"{base}({t})")
-        return env
-
-    x0 = [target.var(s) for s in sys.reg.states]
+    x0 = [sys.reg.var(s) for s in sys.reg.states]
     ev = lambda f, env: red(f.num.substitute(env))
-    M = walk_matrix(sys, x0, k, bind, ev, red)
+    M = walk_matrix(sys, x0, k, partial(flow_env, sys.reg), ev, red)
 
     # Every input-monomial coefficient of a reduced minor is a nonzero
     # normal form, so none of them lies in the chain ideal so far.
@@ -364,13 +356,9 @@ def _rank_mod_p(rows):
     return rank
 
 
-# Samples `_sampled_full_rank` draws before it gives up.
-_SAMPLE_TRIALS = 3
-
-
 def _sampled_full_rank(sys, x0, k):
-    """Certify full rank of the point-pinned matrix by sampling in F_p,
-    p = 2^61 - 1.
+    """Certify full rank of the point-pinned matrix by one seeded sample in
+    F_p, p = 2^61 - 1.
 
     The recursion is walked at seeded residues of the parameters and
     inputs, so no symbolic expression in the inputs is ever built.  Why
@@ -381,20 +369,17 @@ def _sampled_full_rank(sys, x0, k):
     matrix M_k(x0, u) at an integer point u of the inputs and parameters.
     A nonzero n x n minor mod p is the image of that minor, which is then
     nonzero at u, so the minor is nonzero over Q(u, params): the rank is n.
-    A sample with a non-unit is skipped; a deficient sample proves nothing
-    and the caller falls back to symbolic elimination."""
+    A sample with a non-unit or a deficient rank proves nothing, and the
+    caller falls back to symbolic elimination.  A second sample would
+    rarely help: a nonzero minor of degree d vanishes at a random point
+    with probability at most d/p (Schwartz-Zippel)."""
     rng = random.Random(0x5EED)
-    draw = lambda count: [rng.randrange(_P) for _ in range(count)]
-    for _ in range(_SAMPLE_TRIALS):
-        params = draw(len(sys.reg.params))
-        inputs = [draw(sys.m) for _ in range(k)]
-        try:
-            M = _matrix_mod_p(sys, x0, params, inputs)
-        except PoleError:
-            continue
-        if _rank_mod_p(M) == sys.n:
-            return True
-    return False
+    params = [rng.randrange(_P) for _ in sys.reg.params]
+    inputs = [[rng.randrange(_P) for _ in range(sys.m)] for _ in range(k)]
+    try:
+        return _rank_mod_p(_matrix_mod_p(sys, x0, params, inputs)) == sys.n
+    except PoleError:
+        return False
 
 
 def point_status(sys, x0, k):

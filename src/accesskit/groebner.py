@@ -202,26 +202,18 @@ def _spoly(f, g):
 def buchberger(generators, key=grevlex_key):
     """Reduced Groebner basis via Buchberger with sugar selection.
 
-    The term order on the states is given by its sort key on state
-    exponents (larger = bigger): `grevlex_key` for degrevlex, `tuple` for
-    lex.  Both classic pair criteria (coprime leading monomials; chain
-    criterion) are applied.  Raises ResourceBudgetError carrying the
-    partial basis when the degree or step budget is exceeded.
+    The generators are an `Ideal`'s: distinct, nonzero, primitive (their
+    parameter content cleared) and over one registry.  The term order on
+    the states is given by its sort key on state exponents (larger =
+    bigger): `grevlex_key` for degrevlex, `tuple` for lex.  Both classic
+    pair criteria (coprime leading monomials; chain criterion) are
+    applied.  Raises ResourceBudgetError carrying the partial basis when
+    the degree or step budget is exceeded.
     """
-    gens = [g for g in generators if not g.is_zero]
-    if not gens:
-        return []
-    reg = gens[0].reg
-    gens = [g.lift(reg) if g.reg != reg else g for g in gens]
-
-    seeds = []
-    seen = set()
-    for g in gens:
-        gp = clear_param_content(g)[0]
-        if not gp.is_zero and gp not in seen:
-            seen.add(gp)
-            seeds.append(_GBPoly(gp, key))
-    seeds.sort(key=lambda g: (g.sugar, len(g.poly.terms), key(g.lead)))
+    seeds = sorted(
+        (_GBPoly(g, key) for g in generators),
+        key=lambda g: (g.sugar, len(g.poly.terms), key(g.lead)),
+    )
 
     basis = []
     for g in seeds:

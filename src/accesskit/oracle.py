@@ -203,14 +203,16 @@ def grid_scan_1d(
     sorted lists of flagged grid values.  This is an estimate — labelled
     verdicts, never certificates.
     """
-    rng = random.Random(0x5CA11)
     lo, hi = float(x_interval[0]), float(x_interval[1])
     ulo, uhi = float(u_interval[0]), float(u_interval[1])
-    # the first structured sample is u = 0, clamped into the input range
-    seqs = [[min(max(0.0, ulo), uhi)] * k, [uhi] * k, [ulo] * k]
-    while len(seqs) < samples:
-        seqs.append([rng.uniform(ulo, uhi) for _ in range(k)])
-    seqs = seqs[:samples]
+
+    def seqs():
+        """The input sequences, drawn afresh from the one seed: the first
+        structured sample is u = 0, clamped into the input range."""
+        rng = random.Random(0x5CA11)
+        yield from [[min(max(0.0, ulo), uhi)] * k, [uhi] * k, [ulo] * k][:samples]
+        for _ in range(samples - 3):
+            yield [rng.uniform(ulo, uhi) for _ in range(k)]
 
     def run(x, us):
         for u in us:
@@ -229,7 +231,7 @@ def grid_scan_1d(
     flagged = [[] for _ in range(k)]
     for x0 in (lo + i * grid for i in range(round((hi - lo) / grid) + 1)):
         for j in range(1, k + 1):
-            if any(sensitive(x0, us[:j], i) for us in seqs for i in range(j)):
+            if any(sensitive(x0, us[:j], i) for us in seqs() for i in range(j)):
                 break
             flagged[j - 1].append(x0)
     return flagged

@@ -345,9 +345,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Polynomial(self.reg, _scale_terms(self.terms, Fraction(other)), _clean=True)

@@ -219,43 +219,34 @@ def bareiss_determinant(mat):
 
 
 def _det_rational(entries):
-    """Determinant of a square RationalFunction matrix.
+    """Determinant of a square RationalFunction matrix whose entries share
+    one registry (`build_M` puts every entry of M_k and A<k-1> in the
+    horizon-k registry).
 
     When every column's entries share a single denominator (the common case
     for matrices built by the accessibility recursion), denominators are
     cleared per column, the numerator determinant is taken fraction-free,
     and the result is reduced against each small column factor separately —
-    this avoids forming a gcd of large product denominators.  Otherwise the
-    determinant is expanded with reduced rational arithmetic, which keeps
-    intermediate fractions small through incremental cancellation.
+    this avoids forming a gcd of large product denominators.  Otherwise a
+    2 x 2 determinant is expanded with reduced rational arithmetic, and a
+    larger one clears the denominators of each row by their plain product
+    and divides the fraction-free determinant by the product of those.
     """
     n = len(entries)
     if n == 1:
         return entries[0][0]
-    target = entries[0][0].reg
-    for row in entries:
-        for e in row:
-            if e.reg.arity > target.arity:
-                target = e.reg
-    rows = [
-        [e.lift(target) if e.reg != target else e for e in row] for row in entries
-    ]
-    col_dens = []
-    shared = True
-    for j in range(n):
-        d = rows[0][j].den
-        if any(rows[i][j].den.terms != d.terms for i in range(1, n)):
-            shared = False
-            break
-        col_dens.append(d)
-    if shared:
+    reg = entries[0][0].reg
+    col_dens = [e.den for e in entries[0]]
+    if all(
+        e.den.terms == d.terms for row in entries[1:] for e, d in zip(row, col_dens)
+    ):
         det_poly = bareiss_determinant(
-            [[rows[i][j].num for j in range(n)] for i in range(n)]
+            [[entries[i][j].num for j in range(n)] for i in range(n)]
         )
         if det_poly.is_zero:
-            return RationalFunction(target.zero(), target.one())
+            return RationalFunction(reg.zero(), reg.one())
         num = det_poly
-        den = target.one()
+        den = reg.one()
         for f in col_dens:
             if not f.is_constant:
                 g = poly_gcd(num, f)
@@ -265,12 +256,12 @@ def _det_rational(entries):
             den = den * f
         return RationalFunction._reduced(num, den)
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
     rows_poly = []
-    den_total = target.one()
-    for row in rows:
+    den_total = reg.one()
+    for row in entries:
         # plain product of the row denominators (no lcm; sizes stay small)
-        den = target.one()
+        den = reg.one()
         for e in row:
             den = den * e.den
         cleared = [e.num * divexact(den, e.den) for e in row]
@@ -311,8 +302,8 @@ def minor_determinants(sys, k):
 
 
 def symbolic_rank(entries):
-    """Rank of a matrix of RationalFunction or Fraction entries by exact
-    elimination: the generic (maximal) rank for rational functions."""
+    """Rank of a matrix of RationalFunction entries by exact elimination:
+    the generic (maximal) rank."""
     rows = [list(row) for row in entries]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -320,12 +311,12 @@ def symbolic_rank(entries):
     for col in range(ncols):
         if rank == nrows:
             break
-        piv = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
+        piv = next((i for i in range(rank, nrows) if not rows[i][col].is_zero), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         for i in range(rank + 1, nrows):
-            if rows[i][col] != 0:
+            if not rows[i][col].is_zero:
                 factor = rows[i][col] / rows[rank][col]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1

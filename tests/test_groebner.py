@@ -459,7 +459,8 @@ class TestNormalForm:
             G = sympy.groebner([to_sympy(g) for g in gens], *xs, order=sym_order)
             basis = [_GBPoly(from_sympy(g), key) for g in G.exprs]
             ideal = Ideal(reg, gens)
-            own_basis = buchberger(gens, key)
+            # `buchberger` takes an ideal's generators: distinct, primitive
+            own_basis = buchberger(list(ideal.generators), key)
             # one reduced basis per order: sympy's, up to scaling
             want_basis = {monic(from_sympy(g)) for g in G.exprs}
             assert {monic(g) for g in own_basis} == want_basis

@@ -1,13 +1,15 @@
 """Numeric oracle: simulation, matrix recursion, ranks, grid scans."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from accesskit import PoleError
+from accesskit import PoleError, oracle
 from accesskit.oracle import (
     _input_samples,
     finite_difference_jacobian,
@@ -165,3 +167,21 @@ class TestGridScan:
         step = lambda x, u: x + u
         levels = grid_scan_1d(step, (0.0, 1.0), (-1.0, 1.0), 2, samples=16)
         assert levels == [[], []]
+
+    def test_large_samples_draw_only_a_few_sequences(self, monkeypatch):
+        # insensitive at the structured inputs 0, 1 and -1 only, so each
+        # grid point stops at the first uniform sequence of its first level
+        draws = []
+
+        class Counting(random.Random):
+            def uniform(self, a, b):
+                draws.append((a, b))
+                return super().uniform(a, b)
+
+        monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=Counting))
+        step = lambda x, u: x + math.sin(math.pi * u) ** 2
+        levels = grid_scan_1d(
+            step, (0.0, 1.0), (-1.0, 1.0), 2, grid=0.5, samples=10**6
+        )
+        assert levels == [[], []]
+        assert len(draws) == 3 * 2  # one sequence of two inputs per grid point

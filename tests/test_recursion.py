@@ -180,17 +180,28 @@ class TestPointCertificate:
                     out.append((sys, x0, k, _symbolic_verdict(sys, x0, k)))
         return out
 
-    def _check(self, cases):
+    def _check(self, cases, monkeypatch):
+        # one F_p sample per verdict, on the set, off it and undefined
+        walks = []
+        walk = analysis._matrix_mod_p
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(analysis, "_matrix_mod_p", counted)
         sampled = 0
         for sys, x0, k, want in cases:
+            walks.clear()
             v = point_status(sys, x0, k)
             assert (v.in_S_k, v.undefined) == want, (sys.name, x0, k)
+            assert len(walks) == 1, (sys.name, x0, k)
             sampled += analysis._sampled_full_rank(sys, tuple(map(Fraction, x0)), k)
         return sampled
 
-    def test_agrees_with_symbolic_elimination(self, cases):
+    def test_agrees_with_symbolic_elimination(self, cases, monkeypatch):
         assert {w for *_, w in cases} == {(True, False), (False, False), (False, True)}
-        sampled = self._check(cases)
+        sampled = self._check(cases, monkeypatch)
         # every defined case off the set is certified by sampling
         assert sampled == sum(w == (False, False) for *_, w in cases)
 
@@ -218,7 +229,7 @@ class TestPointCertificate:
             for x0 in ((1, 2), (Fraction(1, prime), 1))
             for k in (2, 3)
         ]
-        sampled = self._check(cases + extra)
+        sampled = self._check(cases + extra, monkeypatch)
         assert sampled > 0
         assert set(skipped) == {
             "a denominator is divisible by the prime",

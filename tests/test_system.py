@@ -107,6 +107,19 @@ class TestBuildM:
                 assert len(M) == sys.n
                 assert all(len(row) == k * sys.m for row in M)
 
+    def test_entries_live_in_the_horizon_k_registry(
+        self, coil, coil_reversed, rational2d, fivestep
+    ):
+        # the minors of M_k and det A<k-1> are taken without lifting
+        for sys in (coil, coil_reversed, rational2d, fivestep):
+            for k in range(1, 5):
+                reg = sys.reg.with_horizon(k)
+                entries = [e for row in build_M(sys, k) for e in row]
+                if k > 1:
+                    entries += [e for row in sys._cache["A", k - 1] for e in row]
+                for e in entries:
+                    assert e.num.reg == reg and e.den.reg == reg, (sys.name, k)
+
     def test_fivestep_rank_two_at_horizon_five(self, fivestep):
         # at (0,1) with generic inputs the five-step matrix reaches rank 2
         M = numeric_access_matrix(
