@@ -28,6 +28,7 @@ from .ring import (
     square_free_part,
 )
 from .system import (
+    access_steps,
     bareiss_determinant,
     build_M,
     flow_env,
@@ -146,51 +147,82 @@ def _fast_chain_ok(sys):
     return not sys.params and all(f.is_polynomial for f in sys.phi)
 
 
-def _reduced_step_generators(sys, k, current):
+def _reduced_step_generators(sys, k, current, walk=None):
     """Generators of the step-k minor-coefficient ideal, computed with all
-    intermediate data reduced modulo the chain ideal so far.
+    intermediate data reduced modulo the chain ideal so far, and the walk
+    record (k, env, M_k) that the call at k + 1 resumes from.
 
     Replacing generators by their normal forms leaves the cumulative ideal
     sum unchanged, and polynomial maps preserve congruences, so reducing
     the shifted states and matrix entries at every stage is exact for the
     chain — while keeping expression growth flat.
+
+    The chain walks M_k once: `walk` is the record returned at k - 1
+    (None walks from the start).  Its M_{k-1} and the next state, phi at
+    its last environment, were reduced modulo the previous chain ideal;
+    both are reduced again modulo `current` before the step.  The normal
+    form modulo a Groebner basis is unique, and NF_new(NF_old(p)) =
+    NF_new(p) because the old ideal lies in the new, so every entry of
+    M_k equals the one a walk from the start reduced modulo `current`
+    gives; reducing the carried entries before they are multiplied keeps
+    the products small.
+
+    Only the column sets that touch the newest input block are ranked.  A
+    set C inside the first block A<k-1> * M_{k-1} has the minor
+    det A<k-1> * det M_{k-1}[:, C].  The input-monomial coefficients of
+    det M_{k-1}[:, C] lie in the step-(k-1) ideal, which `current`, the
+    chain through step k - 1, contains; those of the product are
+    combinations of them with polynomial cofactors, so the minor reduces
+    to 0.  The rational path (`minor_determinants`) may not skip these
+    sets: cancelling against the denominator of det A<k-1> can leave a
+    numerator outside the old coefficient ideal.
     """
     n, m = sys.n, sys.m
-    if k * m < n:
-        return []
     # parameter-free: the basis has constant leading coefficients, so the
     # normal form is congruent to p and linear in the input monomials
     red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
-    x0 = [sys.reg.var(s) for s in sys.reg.states]
     ev = lambda f, env: red(f.num.substitute(env))
-    M = walk_matrix(sys, x0, k, partial(flow_env, sys.reg), ev, red)
+    t, env, M = walk or (0, None, None)
+    if env is None:
+        x = [sys.reg.var(s) for s in sys.reg.states]
+    else:
+        x = [ev(f, env) for f in sys.phi]
+        M = [[red(e) for e in row] for row in M]
+    steps = access_steps(sys, x, partial(flow_env, sys.reg), ev, red, t=t, M=M)
+    for t, (env, _A, M) in enumerate(steps, t + 1):
+        if t == k:
+            break
 
     # Every input-monomial coefficient of a reduced minor is a nonzero
     # normal form, so none of them lies in the chain ideal so far.
+    first = 0 if current is None else (k - 1) * m
     gens = []
     for colset in combinations(range(k * m), n):
+        if colset[-1] < first:
+            continue
         sub = [[M[i][j] for j in colset] for i in range(n)]
         det = red(bareiss_determinant(sub))
         gens.extend(collect_by_class(det, "input").values())
-    return gens
+    return gens, (k, env, M)
 
 
-def _new_step_generators(sys, k, current):
+def _new_step_generators(sys, k, current, walk=None):
     """Generators of the step-k minor-coefficient ideal that are not in the
-    chain ideal so far (all of them when there is none yet)."""
+    chain ideal so far (all of them when there is none yet), and the walk
+    record of the reduced engine (None on the rational path)."""
     if _fast_chain_ok(sys):
-        return _reduced_step_generators(sys, k, current)
+        return _reduced_step_generators(sys, k, current, walk)
     gens = _step_ideal(sys, k).generators
     if current is None:
-        return list(gens)
-    return [g for g in gens if not current.contains(g)]
+        return list(gens), None
+    return [g for g in gens if not current.contains(g)], None
 
 
 def generic_accessibility(sys):
     """Generic accessibility: M_n has generic rank n.  That holds exactly
     when some n x n minor of M_n is nonzero, that is, when the step-n
     minor-coefficient ideal has a generator."""
-    return bool(_new_step_generators(sys, sys.n, None))
+    return bool(_new_step_generators(sys, sys.n, None)[0])
 
 
 def _singular_description(ideal):
@@ -220,7 +252,7 @@ def algorithm2(sys, max_k=None, mode="forward"):
         submersive=submersivity_check(sys),
         generically_accessible=False,
     )
-    gens = _new_step_generators(sys, n, None)
+    gens, walk = _new_step_generators(sys, n, None)
     if not gens:
         report.singular_set = SingularSet(
             kind="entire", message="not generically accessible"
@@ -233,7 +265,7 @@ def algorithm2(sys, max_k=None, mode="forward"):
     chain.record(n, current)
     k = n
     while k < max_k:
-        new = _new_step_generators(sys, k + 1, current)
+        new, walk = _new_step_generators(sys, k + 1, current, walk)
         if not new:
             # the chain is ascending, so one-way containment decides equality
             report.kappa = k

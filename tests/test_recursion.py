@@ -7,6 +7,8 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +16,9 @@ from accesskit import (
     Ideal,
     algorithm2,
     build_M,
+    collect_by_class,
     cumulative_ideal,
+    generic_accessibility,
     ideal_equal,
     numeric_access_matrix,
     parse_system,
@@ -25,6 +29,7 @@ from accesskit import (
 )
 from accesskit import analysis
 from accesskit.analysis import _matrix_mod_p, _point_matrix, _residue
+from accesskit.system import bareiss_determinant, flow_env, walk_matrix
 from accesskit.errors import (
     DegenerateDenominatorError,
     IndeterminateError,
@@ -128,6 +133,116 @@ class TestEngineAgreement:
         rng = random.Random(5)
         steps = [self._check(_polynomial_map(rng), 3) for _ in range(6)]
         assert sum(n == 2 for n in steps) >= 3
+
+
+def _from_scratch(sys, k, current, walk=None):
+    """Reference for the reduced engine: M_k walked from the start modulo
+    the chain ideal so far, and every n x n column set ranked."""
+    red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
+    ev = lambda f, env: red(f.num.substitute(env))
+    x0 = [sys.reg.var(s) for s in sys.reg.states]
+    M = walk_matrix(sys, x0, k, partial(flow_env, sys.reg), ev, red)
+    gens = []
+    for colset in combinations(range(k * sys.m), sys.n):
+        det = red(bareiss_determinant([[row[j] for j in colset] for row in M]))
+        gens.extend(collect_by_class(det, "input").values())
+    return gens, None
+
+
+def _summary(report):
+    """kappa, the chain history term for term and the singular set."""
+    history = [
+        (k, [(g.reg.key, g.terms) for g in basis]) for k, basis in report.chain.history
+    ]
+    s = report.singular_set
+    return report.kappa, history, (s.kind, s.points, s.boxes, s.generators)
+
+
+def _text_model(name, *equations):
+    states = " ".join(f"x{i + 1}" for i in range(len(equations)))
+    body = "".join(f"x{i + 1}' = {e}\n" for i, e in enumerate(equations))
+    return to_system_model(
+        parse_system(f"system {name}\nstates {states}\ninputs u\n{body}")
+    )
+
+
+class TestCarriedWalk:
+    """`algorithm2` on polynomial maps walks M_k once over the whole chain,
+    re-reduced modulo each new chain ideal, and ranks only the column sets
+    that touch the newest input block."""
+
+    @staticmethod
+    def _maps():
+        """Fresh models: fivestep, a shift2- and a shift3-shaped map, a
+        bound coil and the seeded polynomial maps."""
+        rng = random.Random(5)
+        coil = load_model("coil").bind_params({"T": Fraction(1, 7), "a": 2, "b": 3})
+        return [
+            load_model("fivestep"),
+            _text_model("shift2", "x2", "-x1 + u*(x2^2 - (3/2)*x2)"),
+            _text_model("shift3", "x2", "x3", "(-2/3)*x1 + u*x3"),
+            coil,
+            *(_polynomial_map(rng) for _ in range(6)),
+        ]
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        return self._maps()
+
+    def test_identical_to_the_walk_from_the_start(self, maps, monkeypatch):
+        carried = [algorithm2(sys) for sys in maps]
+        monkeypatch.setattr(analysis, "_reduced_step_generators", _from_scratch)
+        for sys, report in zip(maps, carried):
+            assert _summary(report) == _summary(algorithm2(sys)), sys.phi
+        # fivestep is walked up to kappa + 1 = 7
+        assert carried[0].kappa == 6 and carried[0].chain.history[-1][0] == 6
+
+    def test_work_on_fivestep(self, monkeypatch):
+        dets, steps = [], []
+        det, env = analysis.bareiss_determinant, analysis.flow_env
+        monkeypatch.setattr(
+            analysis, "bareiss_determinant", lambda mat: dets.append(1) or det(mat)
+        )
+        monkeypatch.setattr(
+            analysis, "flow_env", lambda *a: steps.append(a[-1]) or env(*a)
+        )
+        report = algorithm2(load_model("fivestep"))
+        assert report.kappa == 6
+        # sum over k = 2..7 of the k - 1 sets that touch the last column
+        # (C(k, 2) each walking from the start: 56 determinants)
+        assert len(dets) == 21
+        # one step per horizon t = 0..6 (2 + 3 + ... + 7 = 27 from the start)
+        assert steps == list(range(7))
+
+    def test_ranked_entries_are_normal_forms(self, maps, monkeypatch):
+        chain = []
+        step, det = analysis._reduced_step_generators, analysis.bareiss_determinant
+
+        def recorded(sys, k, current, walk=None):
+            chain.append(current)
+            return step(sys, k, current, walk)
+
+        def checked(mat):
+            current = chain[-1]
+            if current is not None:
+                for row in mat:
+                    for e in row:
+                        assert current.reduce(e, normalize=False) == e
+            return det(mat)
+
+        monkeypatch.setattr(analysis, "_reduced_step_generators", recorded)
+        monkeypatch.setattr(analysis, "bareiss_determinant", checked)
+        for sys in maps:
+            algorithm2(sys)
+        assert sum(c is not None for c in chain) >= 2 * len(maps)
+
+    def test_no_walk_state_kept_between_analyses(self, maps):
+        for sys, reference in zip(self._maps(), maps):
+            generic = generic_accessibility(sys)
+            first, second = algorithm2(sys), algorithm2(sys)
+            assert generic == first.generically_accessible
+            assert _summary(first) == _summary(second), sys.phi
+            assert _summary(first) == _summary(algorithm2(reference)), sys.phi
 
 
 def _symbolic_verdict(sys, x0, k):
