@@ -8,14 +8,10 @@ numeric brute-force oracle.
 __version__ = "0.1.0"
 
 from .analysis import (
-    AnalysisReport,
-    PointVerdict,
-    SingularSet,
     algorithm1,
     algorithm2,
     backward_analysis,
     cumulative_ideal,
-    default_max_k,
     generic_accessibility,
     invariance_check,
     point_status,
@@ -28,13 +24,10 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
-    ideal_equal,
     radical_heuristic,
     solve_zero_dim,
 )
 from .oracle import (
-    RankEstimate,
-    Trajectory,
     grid_scan_1d,
     jacobian_rank,
     numeric_access_matrix,
@@ -50,7 +43,6 @@ from .ring import (
 )
 from .sysfile import (
     ParseError,
-    SystemSpecFile,
     parse_system,
     pretty,
     to_numeric_step,
@@ -60,7 +52,6 @@ from .system import (
     SystemModel,
     build_M,
     jacobians,
-    shift,
     submersivity_check,
     symbolic_rank,
 )
@@ -68,20 +59,14 @@ from .system import (
 __all__ = [
     "__version__",
     "AccessKitError",
-    "AnalysisReport",
     "DegenerateDenominatorError",
     "Ideal",
     "ParseError",
-    "PointVerdict",
     "PoleError",
     "Polynomial",
-    "RankEstimate",
     "RationalFunction",
     "ResourceBudgetError",
-    "SingularSet",
     "SystemModel",
-    "SystemSpecFile",
-    "Trajectory",
     "VariableRegistry",
     "algorithm1",
     "algorithm2",
@@ -89,10 +74,8 @@ __all__ = [
     "build_M",
     "collect_by_class",
     "cumulative_ideal",
-    "default_max_k",
     "generic_accessibility",
     "grid_scan_1d",
-    "ideal_equal",
     "invariance_check",
     "jacobian_rank",
     "jacobians",
@@ -102,7 +85,6 @@ __all__ = [
     "poly_gcd",
     "pretty",
     "radical_heuristic",
-    "shift",
     "simulate",
     "solve_zero_dim",
     "square_free_part",

@@ -41,15 +41,13 @@ from .system import (
 
 @dataclass
 class ChainState:
-    """Progress of an ideal chain: current horizon, current ideal, and the
-    per-step history as (k, reduced basis) pairs."""
+    """Progress of an ideal chain: the current ideal, and the per-step
+    history as (k, reduced basis) pairs."""
 
-    k: int
-    ideal: Ideal
+    ideal: Ideal | None = None
     history: list = field(default_factory=list)
 
     def record(self, k, ideal):
-        self.k = k
         self.ideal = ideal
         self.history.append((k, tuple(ideal.groebner_basis())))
 
@@ -150,7 +148,8 @@ def _fast_chain_ok(sys):
 def _reduced_step_generators(sys, k, current, walk=None):
     """Generators of the step-k minor-coefficient ideal, computed with all
     intermediate data reduced modulo the chain ideal so far, and the walk
-    record (k, env, M_k) that the call at k + 1 resumes from.
+    record WalkStep(k, env_{k-1}, A<k-1>, M_k) that the call at k + 1
+    resumes from.
 
     Replacing generators by their normal forms leaves the cumulative ideal
     sum unchanged, and polynomial maps preserve congruences, so reducing
@@ -158,14 +157,14 @@ def _reduced_step_generators(sys, k, current, walk=None):
     chain — while keeping expression growth flat.
 
     The chain walks M_k once: `walk` is the record returned at k - 1
-    (None walks from the start).  Its M_{k-1} and the next state, phi at
-    its last environment, were reduced modulo the previous chain ideal;
-    both are reduced again modulo `current` before the step.  The normal
-    form modulo a Groebner basis is unique, and NF_new(NF_old(p)) =
-    NF_new(p) because the old ideal lies in the new, so every entry of
-    M_k equals the one a walk from the start reduced modulo `current`
-    gives; reducing the carried entries before they are multiplied keeps
-    the products small.
+    (None walks from the start), and `access_steps` resumes from it.  Its
+    M_{k-1} and the next state, phi at its environment, were reduced
+    modulo the previous chain ideal; both are reduced again modulo
+    `current` before the step.  The normal form modulo a Groebner basis
+    is unique, and NF_new(NF_old(p)) = NF_new(p) because the old ideal
+    lies in the new, so every entry of M_k equals the one a walk from the
+    start reduced modulo `current` gives; reducing the carried entries
+    before they are multiplied keeps the products small.
 
     Only the column sets that touch the newest input block are ranked.  A
     set C inside the first block A<k-1> * M_{k-1} has the minor
@@ -182,16 +181,10 @@ def _reduced_step_generators(sys, k, current, walk=None):
     # normal form is congruent to p and linear in the input monomials
     red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
     ev = lambda f, env: red(f.num.substitute(env))
-    t, env, M = walk or (0, None, None)
-    if env is None:
-        x = [sys.reg.var(s) for s in sys.reg.states]
-    else:
-        x = [ev(f, env) for f in sys.phi]
-        M = [[red(e) for e in row] for row in M]
-    steps = access_steps(sys, x, partial(flow_env, sys.reg), ev, red, t=t, M=M)
-    for t, (env, _A, M) in enumerate(steps, t + 1):
-        if t == k:
-            break
+    start = walk or [sys.reg.var(s) for s in sys.reg.states]
+    steps = access_steps(sys, start, partial(flow_env, sys.reg), ev, red)
+    walk = next(step for step in steps if step.t == k)
+    M = walk.M
 
     # Every input-monomial coefficient of a reduced minor is a nonzero
     # normal form, so none of them lies in the chain ideal so far.
@@ -203,7 +196,7 @@ def _reduced_step_generators(sys, k, current, walk=None):
         sub = [[M[i][j] for j in colset] for i in range(n)]
         det = red(bareiss_determinant(sub))
         gens.extend(collect_by_class(det, "input").values())
-    return gens, (k, env, M)
+    return gens, walk
 
 
 def _new_step_generators(sys, k, current, walk=None):
@@ -261,7 +254,7 @@ def algorithm2(sys, max_k=None, mode="forward"):
         return report
     report.generically_accessible = True
     current = Ideal(sys.reg, gens)
-    chain = report.chain = ChainState(k=n, ideal=current)
+    chain = report.chain = ChainState()
     chain.record(n, current)
     k = n
     while k < max_k:

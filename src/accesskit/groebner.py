@@ -660,7 +660,3 @@ def _coefficients(g, idx):
         coeffs[e[idx]] += c
     return coeffs
 
-
-def ideal_equal(a, b):
-    return a.equal(b)
-

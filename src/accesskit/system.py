@@ -1,11 +1,12 @@
-"""System model, forward-shift calculus and accessibility matrices.
+"""System model, Jacobians and accessibility matrices.
 
 The k-step accessibility matrix is built by the recursion
 ``M_1 = B``, ``M_k = [A<k-1> * M_{k-1} | B<k-1>]`` where A and B are the
 state and input Jacobians of the transition map and ``<t>`` evaluates
 them along the flow t steps ahead.  `access_steps` is the one
-implementation; its callers choose the domain (symbolic, reduced modulo
-an ideal, state pinned, or residues modulo a prime).
+implementation: it starts, steps and resumes every walk, and its callers
+choose the domain (symbolic, reduced modulo an ideal, state pinned, or
+residues modulo a prime).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .ring import (
     Polynomial,
@@ -79,25 +81,6 @@ class SystemModel:
         return f"SystemModel({self.name}, n={self.n}, m={self.m})"
 
 
-def shift(f, sys, t=1):
-    """t-fold forward shift: states become the transition map, input times bump."""
-    if t < 0:
-        raise ValueError("shift count must be nonnegative")
-    for _ in range(t):
-        reg = f.reg
-        h = max(reg.horizon, 1)
-        target = reg.with_horizon(h + 1)
-        bindings = {}
-        for s, comp in zip(reg.states, sys.phi):
-            bindings[s] = comp.lift(target) if comp.reg != target else comp
-        for base in reg.inputs:
-            for s in range(reg.horizon):
-                name = base if s == 0 else f"{base}({s})"
-                bindings[name] = target.var(f"{base}({s + 1})")
-        f = f.lift(target).substitute(bindings)
-    return f
-
-
 def jacobians(sys):
     """(A, B): entrywise derivatives of the transition map in states/inputs.
 
@@ -122,17 +105,35 @@ def flow_env(reg, x, t):
     return env
 
 
-def access_steps(sys, x, bind, ev, reduce=None, t=0, M=None):
-    """Walk x_{s+1} = Phi(x_s, u(s)) from the state x = x_t and yield
-    (env_s, A<s>, M_{s+1}) for s = t, t+1, ...
+class WalkStep(NamedTuple):
+    """One step of the walk: M_t, and the step-(t-1) environment env and
+    A<t-1> it was formed with (A is None at t = 1, where M_1 = B<0>)."""
 
-    The caller supplies the domain: bind(x, s) builds the step-s
-    environment, ev(f, env) evaluates a map or Jacobian entry in it, and
-    reduce, when given, is applied to each entry of A<s> * M_s.  M is M_t
-    when the walk resumes at t > 0.  A<0> is never formed (M_1 = B<0>),
-    and the next state is evaluated only when the walk goes on.
+    t: int
+    env: object
+    A: list | None
+    M: list
+
+
+def access_steps(sys, start, bind, ev, reduce=None):
+    """Walk x_{s+1} = Phi(x_s, u(s)) and yield the records
+    WalkStep(t, env_{t-1}, A<t-1>, M_t) for t = 1, 2, ...
+
+    start is the state x_0, or a record to resume from: the walk then goes
+    on from Phi at the record's environment, and the record's M is first
+    reduced when reduce is given.  The caller supplies the domain: bind(x,
+    s) builds the step-s environment, ev(f, env) evaluates a map or
+    Jacobian entry in it, and reduce, when given, is applied to each entry
+    of A<s> * M_s.  The next state is evaluated only when the walk goes on.
     """
     A, B = jacobians(sys)
+    if isinstance(start, WalkStep):
+        t, env, _A, M = start
+        x = [ev(f, env) for f in sys.phi]
+        if reduce is not None:
+            M = [[reduce(e) for e in row] for row in M]
+    else:
+        t, x, M = 0, start, None
     while True:
         env = bind(x, t)
         B_t = [[ev(e, env) for e in row] for row in B]
@@ -145,9 +146,9 @@ def access_steps(sys, x, bind, ev, reduce=None, t=0, M=None):
                 [_dot(a_row, M, j, reduce) for j in range(len(M[0]))] + b_row
                 for a_row, b_row in zip(A_t, B_t)
             ]
-        yield env, A_t, M
-        x = [ev(f, env) for f in sys.phi]
         t += 1
+        yield WalkStep(t, env, A_t, M)
+        x = [ev(f, env) for f in sys.phi]
 
 
 def _dot(row, M, j, reduce):
@@ -160,37 +161,29 @@ def walk_matrix(sys, x, k, bind, ev, reduce=None):
     """M_k (k >= 1) along the walk from the state x."""
     if k < 1:
         raise ValueError("horizon must be >= 1")
-    steps = access_steps(sys, x, bind, ev, reduce)
-    for _ in range(k):
-        _env, _A, M = next(steps)
-    return M
+    for step in access_steps(sys, x, bind, ev, reduce):
+        if step.t == k:
+            return step.M
 
 
 def build_M(sys, k):
     """Accessibility matrix M_k over the rational functions (k >= 1): n
     rows of k*m RationalFunction entries.
 
-    The walk is cached on the model as plain per-step data: M_k, A<k-1>
-    (for `minor_determinants`) and the point to resume from."""
+    The walk is cached on the model as its list of step records, the
+    step-t record at index t - 1; a longer horizon resumes from the last
+    one, and `minor_determinants` reads A<k-1> from record k."""
     if k < 1:
         raise ValueError("horizon must be >= 1")
-    cache = sys._cache
-    if ("M", k) not in cache:
-        t, env, M = cache.get("walk", (0, None, None))
-        if env is None:
-            x = [RationalFunction(sys.reg.var(s)) for s in sys.reg.states]
-        else:
-            x = [f.substitute(env) for f in sys.phi]
-        steps = access_steps(
-            sys, x, partial(flow_env, sys.reg), RationalFunction.substitute, t=t, M=M
-        )
-        for t, (env, A_t, M) in enumerate(steps, t):
-            cache["A", t] = A_t
-            cache["M", t + 1] = M
-            if t + 1 == k:
+    walk = sys._cache.setdefault("walk", [])
+    if len(walk) < k:
+        x = [RationalFunction(sys.reg.var(s)) for s in sys.reg.states]
+        bind, ev = partial(flow_env, sys.reg), RationalFunction.substitute
+        for step in access_steps(sys, walk[-1] if walk else x, bind, ev):
+            walk.append(step)
+            if step.t == k:
                 break
-        cache["walk"] = (k, env, M)
-    return cache["M", k]
+    return walk[k - 1].M
 
 
 def bareiss_determinant(mat):
@@ -292,7 +285,7 @@ def minor_determinants(sys, k):
         for colset in combinations(range(k * m), n):
             if old is not None and all(c < old_cols for c in colset):
                 if det_a is None:
-                    det_a = _det_rational(sys._cache["A", k - 1])
+                    det_a = _det_rational(sys._cache["walk"][k - 1].A)
                 out[colset] = det_a * old[colset]
             else:
                 sub = [[M[i][j] for j in colset] for i in range(n)]

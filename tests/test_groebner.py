@@ -11,7 +11,6 @@ from accesskit import (
     Polynomial,
     VariableRegistry,
     algorithm2,
-    ideal_equal,
     radical_heuristic,
     solve_zero_dim,
 )
@@ -162,19 +161,15 @@ class TestContains:
 class TestIdealEqual:
     def test_unit_multiple(self, reg):
         x1 = reg.var("x1")
-        assert ideal_equal(Ideal(reg, [x1]), Ideal(reg, [x1 + x1]))
+        assert Ideal(reg, [x1]).equal(Ideal(reg, [x1 + x1]))
 
     def test_same_linear_span(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
-        assert ideal_equal(
-            Ideal(reg, [x1, x2]), Ideal(reg, [x1 + x2, x1 - x2])
-        )
+        assert Ideal(reg, [x1, x2]).equal(Ideal(reg, [x1 + x2, x1 - x2]))
 
     def test_curve_differs_from_point(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
-        assert not ideal_equal(
-            Ideal(reg, [x2 * (x1 + x2)]), Ideal(reg, [x1, x2])
-        )
+        assert not Ideal(reg, [x2 * (x1 + x2)]).equal(Ideal(reg, [x1, x2]))
 
     def test_equivalence_relation_randomized(self, reg):
         rng = random.Random(13)
@@ -185,23 +180,23 @@ class TestIdealEqual:
                 gens = [g for g in gens if not g.is_zero] or [reg.var("x1")]
                 ideals.append(Ideal(reg, gens))
             a, b, c = ideals
-            assert ideal_equal(a, a)
-            if ideal_equal(a, b):
-                assert ideal_equal(b, a)
-            if ideal_equal(a, b) and ideal_equal(b, c):
-                assert ideal_equal(a, c)
+            assert a.equal(a)
+            if a.equal(b):
+                assert b.equal(a)
+            if a.equal(b) and b.equal(c):
+                assert a.equal(c)
 
 
 class TestIdealSum:
     def test_union_of_generators(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
         s = Ideal(reg, [x1]) + Ideal(reg, [x2])
-        assert ideal_equal(s, Ideal(reg, [x1, x2]))
+        assert s.equal(Ideal(reg, [x1, x2]))
 
     def test_zero_ideal_is_identity(self, reg):
         x1 = reg.var("x1")
         I = Ideal(reg, [x1])
-        assert ideal_equal(I + Ideal(reg, []), I)
+        assert (I + Ideal(reg, [])).equal(I)
 
 
 class TestClearParamContent:
@@ -228,19 +223,19 @@ class TestRadicalHeuristic:
         x1, x2 = reg.var("x1"), reg.var("x2")
         p = x2 * (x1 + x2)
         J, _cert = radical_heuristic(Ideal(reg, [p * p]))
-        assert ideal_equal(J, Ideal(reg, [p]))
+        assert J.equal(Ideal(reg, [p]))
 
     def test_zero_dimensional_certified(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
         J, cert = radical_heuristic(Ideal(reg, [x1 * x1, x2]))
         assert cert
-        assert ideal_equal(J, Ideal(reg, [x1, x2]))
+        assert J.equal(Ideal(reg, [x1, x2]))
 
     def test_sum_of_squares_origin(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
         J, cert = radical_heuristic(Ideal(reg, [x1 * x1 + x2 * x2]))
         assert cert
-        assert ideal_equal(J, Ideal(reg, [x1, x2]))
+        assert J.equal(Ideal(reg, [x1, x2]))
 
     def test_output_contains_input_and_zeros_agree(self, reg):
         rng = random.Random(21)

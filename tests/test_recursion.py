@@ -8,18 +8,18 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from accesskit import (
     Ideal,
+    RationalFunction,
     algorithm2,
     build_M,
     collect_by_class,
     cumulative_ideal,
     generic_accessibility,
-    ideal_equal,
     numeric_access_matrix,
     parse_system,
     point_status,
@@ -28,8 +28,8 @@ from accesskit import (
     to_system_model,
 )
 from accesskit import analysis
-from accesskit.analysis import _matrix_mod_p, _point_matrix, _residue
-from accesskit.system import bareiss_determinant, flow_env, walk_matrix
+from accesskit.analysis import _P, _ev_mod_p, _matrix_mod_p, _point_matrix, _residue
+from accesskit.system import access_steps, bareiss_determinant, flow_env, walk_matrix
 from accesskit.errors import (
     DegenerateDenominatorError,
     IndeterminateError,
@@ -119,7 +119,7 @@ class TestEngineAgreement:
         report = algorithm2(sys, max_k=max_k)
         assert report.chain is not None
         for k, basis in report.chain.history:
-            assert ideal_equal(Ideal(sys.reg, list(basis)), cumulative_ideal(sys, k)), (
+            assert Ideal(sys.reg, list(basis)).equal(cumulative_ideal(sys, k)), (
                 sys.phi,
                 k,
             )
@@ -243,6 +243,61 @@ class TestCarriedWalk:
             assert generic == first.generically_accessible
             assert _summary(first) == _summary(second), sys.phi
             assert _summary(first) == _summary(algorithm2(reference)), sys.phi
+
+
+def _exact(rows):
+    """Matrix entries as registry, numerator and denominator terms."""
+    if rows is None:
+        return None
+    return [[(e.reg.key, e.num.terms, e.den.terms) for e in row] for row in rows]
+
+
+class TestResumedWalk:
+    """A walk resumed from its own step record is the uninterrupted walk,
+    entry for entry.  fivestep and rational2d stop at horizon 4: the
+    symbolic M_5 takes 35 s on fivestep and over an hour on rational2d."""
+
+    @staticmethod
+    def _models():
+        coil = load_model("coil").bind_params({"T": Fraction(1, 10), "a": 2, "b": 3})
+        return [
+            (load_model("rational2d"), 4),
+            (load_model("coil_reversed"), 5),
+            (coil, 5),
+            (load_model("fivestep"), 4),
+        ]
+
+    def test_build_M_resumes_exactly(self):
+        for (resumed, top), (whole, _top) in zip(self._models(), self._models()):
+            build_M(resumed, 2)
+            build_M(resumed, top)
+            build_M(whole, top)
+            x0 = [RationalFunction(whole.reg.var(s)) for s in whole.reg.states]
+            bind, ev = partial(flow_env, whole.reg), RationalFunction.substitute
+            fresh = list(islice(access_steps(whole, x0, bind, ev), top))
+            records = [resumed._cache["walk"], whole._cache["walk"], fresh]
+            assert [len(r) for r in records] == [top] * 3, resumed.name
+            for t, steps in enumerate(zip(*records), 1):
+                assert {step.t for step in steps} == {t}
+                assert (steps[0].A is None) == (t == 1)
+                for step in steps[1:]:
+                    assert _exact(step.M) == _exact(steps[0].M), (resumed.name, t)
+                    assert _exact(step.A) == _exact(steps[0].A), (resumed.name, t)
+                M = walk_matrix(whole, x0, t, bind, ev)
+                assert _exact(M) == _exact(steps[0].M), (resumed.name, t)
+
+    def test_residue_walk_resumes_exactly(self):
+        rng = random.Random(18)
+        for sys, _top in self._models():
+            params = [rng.randrange(_P) for _ in sys.reg.params]
+            inputs = [[rng.randrange(_P) for _ in range(sys.m)] for _ in range(5)]
+            bind = lambda x, t: (*params, *x, *inputs[t])
+            x = [rng.randrange(_P) for _ in range(sys.n)]
+            red = lambda v: v % _P
+            whole = list(islice(access_steps(sys, x, bind, _ev_mod_p, red), 5))
+            resumed = access_steps(sys, whole[1], bind, _ev_mod_p, red)
+            assert list(islice(resumed, 3)) == whole[2:], sys.name
+            assert [step.t for step in whole] == [1, 2, 3, 4, 5]
 
 
 def _symbolic_verdict(sys, x0, k):

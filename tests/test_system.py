@@ -1,5 +1,5 @@
-"""Control-theoretic calculus: shifts, Jacobians, the matrix recursion,
-minors, and coefficient ideals."""
+"""Control-theoretic calculus: Jacobians, the matrix recursion, minors,
+and coefficient ideals."""
 
 import random
 from fractions import Fraction
@@ -13,11 +13,9 @@ from accesskit import (
     SystemModel,
     VariableRegistry,
     build_M,
-    ideal_equal,
     jacobians,
     numeric_access_matrix,
     parse_system,
-    shift,
     submersivity_check,
     symbolic_rank,
     to_system_model,
@@ -29,34 +27,6 @@ from accesskit.system import minor_determinants
 
 def _v(sys):
     return {n: RationalFunction(sys.reg.var(n)) for n in sys.reg.names()}
-
-
-class TestShift:
-    def test_coil_first_component(self, coil):
-        v = _v(coil)
-        assert shift(v["x1"], coil, 1) == v["x1"] + v["T"] * v["x2"]
-
-    def test_zero_shift_identity(self, coil, rational2d):
-        for sys in (coil, rational2d):
-            for name in sys.reg.states:
-                f = RationalFunction(sys.reg.var(name))
-                assert shift(f, sys, 0) == f
-
-    def test_fivestep_second_component(self, fivestep):
-        v = _v(fivestep)
-        expected = (
-            -v["x1"] + v["x2"] + v["u"] * v["x2"] ** 2 - v["u"] * v["x2"]
-        )
-        got = shift(v["x2"], fivestep, 1)
-        assert got == expected.lift(got.reg)
-
-    def test_semigroup(self, coil, fivestep):
-        for sys in (coil, fivestep):
-            for name in sys.reg.states:
-                f = RationalFunction(sys.reg.var(name))
-                once_twice = shift(shift(f, sys, 1), sys, 1)
-                twice = shift(f, sys, 2)
-                assert once_twice == twice
 
 
 class TestJacobians:
@@ -116,7 +86,7 @@ class TestBuildM:
                 reg = sys.reg.with_horizon(k)
                 entries = [e for row in build_M(sys, k) for e in row]
                 if k > 1:
-                    entries += [e for row in sys._cache["A", k - 1] for e in row]
+                    entries += [e for row in sys._cache["walk"][k - 1].A for e in row]
                 for e in entries:
                     assert e.num.reg == reg and e.den.reg == reg, (sys.name, k)
 
@@ -178,13 +148,13 @@ class TestMinors:
         I = _step_ideal(coil, 2)
         reg = I.reg
         x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
-        assert ideal_equal(I, Ideal(reg, [x1 * (x1 + T * x2)]))
+        assert I.equal(Ideal(reg, [x1 * (x1 + T * x2)]))
 
     def test_rational2d_step2_ideal(self, rational2d):
         I = _step_ideal(rational2d, 2)
         reg = I.reg
         x1, x2 = reg.var("x1"), reg.var("x2")
-        assert ideal_equal(I, Ideal(reg, [x2 * (x1 + x2)]))
+        assert I.equal(Ideal(reg, [x2 * (x1 + x2)]))
 
     def test_square_matrix_single_minor(self, coil):
         # k*m = n = 2
