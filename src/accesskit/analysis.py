@@ -200,15 +200,14 @@ def _reduced_step_generators(sys, k, current, walk=None):
 
 
 def _new_step_generators(sys, k, current, walk=None):
-    """Generators of the step-k minor-coefficient ideal that are not in the
-    chain ideal so far (all of them when there is none yet), and the walk
-    record of the reduced engine (None on the rational path)."""
+    """The step-k generators new to the chain: their nonzero normal forms
+    modulo the chain ideal so far (all of them when there is none yet), and
+    the walk record of the reduced engine (None on the rational path)."""
     if _fast_chain_ok(sys):
         return _reduced_step_generators(sys, k, current, walk)
     gens = _step_ideal(sys, k).generators
-    if current is None:
-        return list(gens), None
-    return [g for g in gens if not current.contains(g)], None
+    new = gens if current is None else map(current.reduce, gens)
+    return [g for g in new if not g.is_zero], None
 
 
 def generic_accessibility(sys):

@@ -302,7 +302,7 @@ def _dispatch(args, started):
             raise AccessKitError("backward analysis needs a symbolic system")
         report = _analyse(backward_analysis, model, max_k=args.max_k)
         _emit(_report_json(report, digest, started))
-        return EXIT_OK
+        return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
 
     spec, model, digest = _load(args.file, binds)
 

@@ -224,14 +224,16 @@ def buchberger(generators, key=grevlex_key):
                 continue
         basis.append(_GBPoly(r, key))
 
-    pairs = set()
-
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(basis[i].lead, basis[j].lead))
+    # pair (i, j) -> ((sugar, key(lcm)), lcm), formed once
+    pairs = {}
 
     def add_pairs(j):
-        for i in range(j):
-            pairs.add((i, j))
+        g = basis[j]
+        for i, f in enumerate(basis[:j]):
+            lcm = tuple(map(max, f.lead, g.lead))
+            d = sum(lcm)
+            sugar = max(f.sugar + d - sum(f.lead), g.sugar + d - sum(g.lead))
+            pairs[i, j] = (sugar, key(lcm)), lcm
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -243,17 +245,8 @@ def buchberger(generators, key=grevlex_key):
             raise ResourceBudgetError(
                 "Groebner pair budget exceeded", partial=[g.poly for g in basis]
             )
-
-        def pair_sugar(p):
-            i, j = p
-            lcm = lcm_of(i, j)
-            si = basis[i].sugar + sum(lcm) - sum(basis[i].lead)
-            sj = basis[j].sugar + sum(lcm) - sum(basis[j].lead)
-            return (max(si, sj), key(lcm))
-
-        i, j = min(pairs, key=pair_sugar)
-        pairs.discard((i, j))
-        lcm = lcm_of(i, j)
+        i, j = min(pairs, key=pairs.get)
+        (sugar, _), lcm = pairs.pop((i, j))
         # product criterion
         if all(a + b == c for a, b, c in zip(basis[i].lead, basis[j].lead, lcm)):
             continue
@@ -282,10 +275,6 @@ def buchberger(generators, key=grevlex_key):
                 f"Groebner degree budget {_DEGREE_CAP} exceeded",
                 partial=[g.poly for g in basis],
             )
-        sugar = max(
-            basis[i].sugar + sum(lcm) - sum(basis[i].lead),
-            basis[j].sugar + sum(lcm) - sum(basis[j].lead),
-        )
         basis.append(_GBPoly(r, key, sugar))
         add_pairs(len(basis) - 1)
 
@@ -369,10 +358,10 @@ class Ideal:
         return self.reduce(p).is_zero
 
     def equal(self, other):
-        """True iff the two ideals coincide (mutual containment)."""
-        return all(other.contains(g) for g in self.generators) and all(
-            self.contains(g) for g in other.generators
-        )
+        """True iff the two ideals coincide.  The reduced basis is
+        canonical: each element primitive with a positive leading
+        coefficient, sorted by leading monomial."""
+        return self.groebner_basis() == other.groebner_basis()
 
     def __add__(self, other):
         """Ideal sum: this ideal's basis and the other's generators."""
@@ -391,7 +380,8 @@ class Ideal:
         gb = self.groebner_basis()
         if any(g.is_constant for g in gb):
             return True  # empty variety
-        leads = [_GBPoly(g).lead for g in gb]
+        spos = self.reg.state_indices
+        leads = [max(_split(g.terms, spos), key=grevlex_key) for g in gb]
         for axis in range(len(self.reg.states)):
             if not any(
                 l[axis] > 0 and all(x == 0 for k, x in enumerate(l) if k != axis)
@@ -505,13 +495,9 @@ def radical_heuristic(ideal):
     if all(g.total_degree() <= 1 for g in gb):
         return J, True
     # zero-dimensional: rebuild the vanishing ideal of the real points
-    if not J.uses_parameters() and J.is_zero_dimensional():
-        sol = solve_zero_dim(J)
-        if sol.status == "points":
-            if not sol.points:
-                return Ideal(reg, [reg.one()]), True
-            V = vanishing_ideal(reg, sol.points)
-            return V, True
+    sol = solve_zero_dim(J)
+    if sol.status == "points":
+        return vanishing_ideal(reg, sol.points), True
     # principal square-free hypersurface: witness-based certification
     if len(gb) == 1 and not J.uses_parameters():
         q = gb[0]
@@ -596,7 +582,7 @@ def solve_zero_dim(ideal):
         return SolveResult(
             "not_zero_dimensional", message="variety has positive dimension"
         )
-    gb = buchberger(list(ideal.generators), key=tuple)
+    gb = buchberger(ideal.groebner_basis(), key=tuple)
     boxes = []
 
     def rec(gens, names, partial):

@@ -3,7 +3,9 @@
 Floating-point counterparts of the symbolic pipeline: trajectory
 simulation, sampled input-Jacobian rank estimation, and a grid scan for
 one-dimensional numeric-only maps.  Verdicts here are evidence, not
-certificates — only the symbolic path proves anything.
+certificates — only the symbolic path proves anything.  numpy is
+imported by the functions that compute with it, so importing the package
+for a symbolic run does not load it.
 
 The oracle takes bound models: give parameters values first with
 `SystemModel.bind_params`.  A model with free parameters is refused.
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import PoleError
 from .system import jacobians
@@ -105,6 +105,7 @@ def numeric_access_matrix(sys, x0, inputs):
     """Evaluate the k-step accessibility matrix at (x0, inputs)
     numerically, via the same column-block recursion used symbolically
     but with floating-point Jacobians along the simulated trajectory."""
+    import numpy as np
     _, A_fns, B_fns = _numeric(sys)
     traj = simulate(sys, x0, inputs)
     M = None
@@ -121,6 +122,7 @@ def numeric_access_matrix(sys, x0, inputs):
 def finite_difference_jacobian(sys, x0, inputs):
     """Central-difference Jacobian of the k-step end state with respect
     to the stacked input sequence; cross-check for the matrix recursion."""
+    import numpy as np
     k = len(inputs)
     m = sys.m
     cols = []
@@ -163,6 +165,7 @@ def jacobian_rank(sys, x0, k, samples=25, tol=RANK_TOL):
     """Maximum numeric rank of the k-step input Jacobian over sampled
     input sequences.  Rank counts singular values above tol times the
     largest one.  Raises PoleError only if every sample hits a pole."""
+    import numpy as np
     rng = random.Random(0xACCE55)
     best = None
     ok = 0

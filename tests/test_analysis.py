@@ -198,6 +198,16 @@ class TestAccessibilityIndex:
         r_star, _final, _certified = algorithm1(coil)
         assert r_star == 3
 
+    def test_not_generically_accessible(self, drift):
+        r_star, final, certified = algorithm1(drift)
+        assert (r_star, certified) == (None, True)
+        assert final.is_zero_ideal
+
+    def test_horizon_budget_runs_out(self, coil):
+        # r* = 3 on coil, so the chain cannot settle by k = 2
+        r_star, _final, _certified = algorithm1(coil, max_k=2)
+        assert r_star is None
+
     def test_index_bounded_by_kappa(self, coil, rational2d, coil_report, rational2d_report):
         for sys, rep in ((coil, coil_report), (rational2d, rational2d_report)):
             r_star, _f, certified = algorithm1(sys)
@@ -227,6 +237,10 @@ class TestPointStatus:
     def test_coil_origin_always_singular(self, coil):
         for k in (2, 3, 4, 5):
             assert point_status(coil, (0, 0), k).in_S_k
+
+    def test_wrong_point_length_is_refused(self, coil):
+        with pytest.raises(ValueError, match="dimension"):
+            point_status(coil, (1,), 2)
 
     def test_horizon_below_one_is_refused(self, coil):
         with pytest.raises(ValueError, match="horizon"):

@@ -246,6 +246,8 @@ class TestErrors:
     def test_symbolic_command_on_numeric_file(self, capsys):
         code, _ = run(capsys, "index", path("sinemap"))
         assert code == EXIT_PARSE
+        code, _ = run(capsys, "backward", "--inverse", path("sinemap"))
+        assert code == EXIT_PARSE
 
     def test_bad_bind(self, capsys):
         code, _ = run(capsys, "check", path("coil"), "--bind", "nonsense")

@@ -186,6 +186,35 @@ class TestIdealEqual:
             if a.equal(b) and b.equal(c):
                 assert a.equal(c)
 
+    def test_matches_mutual_containment(self, reg):
+        # the reference: two ideals coincide iff each contains the other's
+        # generators; the pairs include parametric ideals and equal ideals
+        # built from different generators
+        def contained(a, b):
+            return all(b.contains(g) for g in a.generators)
+
+        x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
+        rng = random.Random(0xE0)
+        equal_pairs = 0
+        for _ in range(60):
+            gens = [_random_state_poly(reg, rng) for _ in range(2)]
+            gens = [g for g in gens if not g.is_zero] or [x1]
+            if rng.random() < 0.5:
+                gens[0] = gens[0] + T * rng.choice((x1, x2, x1 * x2))
+            a = Ideal(reg, gens)
+            h = _random_state_poly(reg, rng, deg=1)
+            # the same ideal: a unit multiple of one generator, the others
+            # plus multiples of it
+            same = [gens[-1] * (T + reg.one())]
+            same += [g + h * gens[-1] for g in gens[:-1]]
+            other = rng.choice((same, gens + [h * gens[0]], gens[:1], gens + [h]))
+            b = Ideal(reg, [g for g in other if not g.is_zero] or [x2])
+            want = contained(a, b) and contained(b, a)
+            assert a.equal(b) == want
+            assert b.equal(a) == want
+            equal_pairs += want
+        assert 0 < equal_pairs < 60
+
 
 class TestIdealSum:
     def test_union_of_generators(self, reg):
@@ -197,6 +226,11 @@ class TestIdealSum:
         x1 = reg.var("x1")
         I = Ideal(reg, [x1])
         assert (I + Ideal(reg, [])).equal(I)
+
+    def test_across_state_rings_is_refused(self, reg):
+        other = VariableRegistry(("y1", "y2"), ("u",), ("T",), 1)
+        with pytest.raises(ValueError, match="different state rings"):
+            Ideal(reg, [reg.var("x1")]) + Ideal(other, [other.var("y1")])
 
 
 class TestClearParamContent:
@@ -326,6 +360,35 @@ class TestSolveZeroDim:
         r = solve_zero_dim(Ideal(reg, gens))
         assert r.status == "points"
         assert r.points == [(-1, 0), (1, 0), (1, 1)]
+
+    def test_parametric_basis_is_refused(self, reg):
+        x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")
+        assert solve_zero_dim(Ideal(reg, [x1 - T, x2])).status == "refused"
+
+    def test_zero_ideal_is_whole_space(self, reg):
+        assert solve_zero_dim(Ideal(reg, [])).status == "not_zero_dimensional"
+
+    def test_same_points_as_lex_basis_of_raw_generators(self, reg, monkeypatch):
+        # seeded point sets, each given by its vanishing ideal's generators
+        # mixed with random multiples of each other; the reference seeds
+        # the lex run with those raw generators instead of the cached basis
+        rng = random.Random(0x1E7)
+        real = groebner.buchberger
+        for _ in range(8):
+            pts = _random_points(rng, 2, rng.randint(1, 4))
+            gens = list(vanishing_ideal(reg, pts).generators)
+            h = _random_state_poly(reg, rng, deg=1)
+            gens = gens[:1] + [g + h * gens[0] for g in gens[1:]]
+            I = Ideal(reg, [g for g in gens if not g.is_zero])
+            found = solve_zero_dim(I)
+            with monkeypatch.context() as m:
+                raw = lambda gens, key=grevlex_key: real(
+                    list(I.generators) if key is tuple else gens, key
+                )
+                m.setattr(groebner, "buchberger", raw)
+                want = solve_zero_dim(I)
+            assert found.status == want.status == "points"
+            assert found.points == want.points == sorted(set(pts))
 
 
 class TestDeflate:

@@ -1,7 +1,10 @@
 """Numeric oracle: simulation, matrix recursion, ranks, grid scans."""
 
 import math
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
@@ -18,9 +21,22 @@ from accesskit.oracle import (
     numeric_access_matrix,
     simulate,
 )
-from accesskit.sysfile import to_numeric_step
+from accesskit.sysfile import parse_system, to_numeric_step, to_system_model
 
 COIL_PARAMS = {"T": Fraction(1, 10), "a": 1, "b": 1}
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # only the float oracle computes with numpy, so only it imports it
+    src = pathlib.Path(oracle.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import accesskit; "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:
@@ -78,6 +94,10 @@ class TestAccessMatrix:
         M = numeric_access_matrix(bound, (1.0, 1.0), [[0.1]] * 4)
         assert M.shape == (2, 4)
 
+    def test_no_steps_is_refused(self, fivestep):
+        with pytest.raises(ValueError, match="input step"):
+            numeric_access_matrix(fivestep, (0.0, 1.0), [])
+
 
 class TestBoundModels:
     """The oracle runs on bound models and checks the lengths of its values."""
@@ -119,6 +139,11 @@ class TestJacobianRank:
     def test_generic_point_full_rank(self, coil, rational2d):
         assert jacobian_rank(coil.bind_params(COIL_PARAMS), (1.0, 1.0), 2).rank == 2
         assert jacobian_rank(rational2d, (1.0, 1.0), 2).rank == 2
+
+    def test_every_sample_at_a_pole(self):
+        spec = parse_system("system p\nstates x\ninputs u\nx' = 1/x + u\n")
+        with pytest.raises(PoleError, match="all input samples"):
+            jacobian_rank(to_system_model(spec), (0.0,), 2)
 
     def test_input_samples_are_drawn_lazily(self):
         # each sample is drawn when it is tried, in the order of a list

@@ -128,6 +128,22 @@ class TestDiagnostics:
         self.err("system t\nstates x\ninputs u\nx' = x^2^3 + u\n")
         self.err("system t\nstates x\ninputs u\nx' = x^-2 + u\n")
 
+    @pytest.mark.parametrize(
+        "line, message, text",
+        [
+            (2, "duplicate `system`", "system t\nsystem s\nstates x\ninputs u\nx' = u"),
+            (3, "duplicate `states`", "system t\nstates x\nstates y\ninputs u\nx' = u"),
+            (5, "undeclared state 'y'", "system t\nstates x\ninputs u\nx' = u\ny' = x"),
+            (3, "unrecognized", "system t\nstates x\nconst c\ninputs u\nx' = u"),
+            (1, "missing `inputs`", "system t\nstates x\nx' = x"),
+            (5, "expected '('", "system t\nstates x\ninputs u\nnumeric\nx' = sin x"),
+        ],
+    )
+    def test_declaration_errors_report_their_line(self, line, message, text):
+        e = self.err(text)
+        assert e.line == line
+        assert message in str(e)
+
     def test_column_reported(self):
         e = self.err("system t\nstates x\ninputs u\nx' = x + + u\n")
         assert e.line == 4
@@ -180,6 +196,11 @@ class TestConversions:
         spec = parse_system(read("integrator"))
         step = to_numeric_step(spec)
         assert step(1.0, 2.0) == pytest.approx(3.0)
+
+    def test_numeric_step_refuses_unbound_parameter(self):
+        spec = parse_system("system t\nparams c\nstates x\ninputs u\nx' = c*x + u\n")
+        with pytest.raises(AccessKitError, match="parameters: c"):
+            to_numeric_step(spec)
 
     def test_numeric_step_dimension_guard(self):
         spec = parse_system(read("coil"))
