@@ -117,7 +117,7 @@ class _GBPoly:
         self.lead_coeff = Polynomial(poly.reg, groups.pop(self.lead), _clean=True)
         lc = self.lead_coeff
         self.lc = lc.constant_value() if lc.is_constant else None
-        scale = -1 / self.lc if self.lc is not None else Fraction(-1)
+        scale = Fraction(-1, self.lc) if self.lc is not None else -1
         self.tail = [(m, _scale_terms(t, scale)) for m, t in groups.items()]
 
 
@@ -193,8 +193,8 @@ def _spoly(f, g):
     lcm = tuple(max(a, b) for a, b in zip(f.lead, g.lead))
     sf = _shift_tuple(reg, (a - b for a, b in zip(lcm, f.lead)))
     sg = _shift_tuple(reg, (a - b for a, b in zip(lcm, g.lead)))
-    tf = Polynomial(reg, _addmul_terms({}, Fraction(1), sf, f.poly.terms), _clean=True)
-    tg = Polynomial(reg, _addmul_terms({}, Fraction(1), sg, g.poly.terms), _clean=True)
+    tf = Polynomial(reg, _addmul_terms({}, 1, sf, f.poly.terms), _clean=True)
+    tg = Polynomial(reg, _addmul_terms({}, 1, sg, g.poly.terms), _clean=True)
     s = g.lead_coeff * tf - f.lead_coeff * tg
     return clear_param_content(s)[0] if not s.is_zero else s
 
@@ -550,7 +550,7 @@ def vanishing_ideal(reg, points):
         out = [prod((x - reg.const(c) for c in fibres), start=reg.one())]
         for c, fibre in fibres.items():
             lagrange = prod(
-                ((x - reg.const(d)) * reg.const(1 / (c - d)) for d in fibres if d != c),
+                ((x - reg.const(d)) * Fraction(1, c - d) for d in fibres if d != c),
                 start=reg.one(),
             )
             out.extend(lagrange * g for g in gens(names[:-1], fibre))

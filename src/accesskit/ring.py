@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomials and rational functions.
 
 The variable set is partitioned into parameters, states and time-indexed
-inputs.  Polynomials store a map from exponent tuple to Fraction; rational
-functions keep a fully reduced numerator/denominator pair with a canonical
-scaling, so two arithmetic routes to the same value produce identical
-representations.
+inputs.  Polynomials store a map from exponent tuple to an exact rational
+coefficient: an ``int`` when it is integral, else a ``Fraction``, so the
+integer arithmetic of most chain polynomials skips ``Fraction``.  Hence
+``Fraction(1, c)``, not ``1 / c`` (a float for an int ``c``), is the exact
+inverse of a coefficient.  Rational functions keep a fully reduced
+numerator/denominator pair with a canonical scaling, so two arithmetic
+routes to the same value produce identical representations.
 """
 
 from __future__ import annotations
@@ -33,7 +36,23 @@ def grevlex_key(exp):
 
 # -- term maps ------------------------------------------------------------
 #
-# A term map is a plain dict from exponent tuple to nonzero Fraction.
+# A term map is a plain dict from exponent tuple to a nonzero coefficient:
+# an int when integral, else a Fraction (`_q` keeps this form).  Sums and
+# products of Fractions may leave an integral Fraction behind; it equals,
+# hashes and prints as its int, so only speed depends on the form.
+
+
+def _q(c):
+    """An exact rational in term-map form: its int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coefficient(c):
+    """A caller's coefficient in term-map form.  A float is refused: it
+    would enter as the binary rational nearest to it, not its decimal."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
+    return _q(c)
 
 
 def _mul_terms(a, b):
@@ -96,7 +115,7 @@ def _scale_terms(a, coeff):
     """Every coefficient times a scalar."""
     if not coeff:
         return {}
-    return {e: c * coeff for e, c in a.items()}
+    return {e: _q(c * coeff) for e, c in a.items()}
 
 
 def _eval_terms(terms, values):
@@ -213,8 +232,7 @@ class VariableRegistry:
         return self.const(1)
 
     def const(self, c):
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return Polynomial(self, {}, _clean=True)
         return Polynomial(self, {(0,) * self.arity: c}, _clean=True)
@@ -223,13 +241,13 @@ class VariableRegistry:
         i = self.index(name)
         e = [0] * self.arity
         e[i] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)})
+        return Polynomial(self, {tuple(e): 1}, _clean=True)
 
     def monomial(self, exp, coeff=1):
-        coeff = Fraction(coeff)
+        coeff = _coefficient(coeff)
         if not coeff:
             return self.zero()
-        return Polynomial(self, {tuple(exp): coeff})
+        return Polynomial(self, {tuple(exp): coeff}, _clean=True)
 
     def __eq__(self, other):
         return isinstance(other, VariableRegistry) and self.key == other.key
@@ -252,7 +270,11 @@ def unify(a, b):
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
+    when integral and a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("reg", "terms", "_hash")
 
@@ -261,9 +283,7 @@ class Polynomial:
         if _clean:
             self.terms = terms
         else:
-            self.terms = {
-                tuple(e): Fraction(c) for e, c in terms.items() if c
-            }
+            self.terms = {tuple(e): _coefficient(c) for e, c in terms.items() if c}
         self._hash = None
 
     # -- basic queries ----------------------------------------------------
@@ -278,7 +298,7 @@ class Polynomial:
 
     def constant_value(self):
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -337,7 +357,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.reg, _scale_terms(self.terms, Fraction(-1)), _clean=True)
+        return Polynomial(self.reg, _scale_terms(self.terms, -1), _clean=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -347,7 +367,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.reg, _scale_terms(self.terms, Fraction(other)), _clean=True)
+            return Polynomial(self.reg, _scale_terms(self.terms, other), _clean=True)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = unify(self, other)
@@ -394,7 +414,7 @@ class Polynomial:
                 ne = list(e)
                 ne[i] = p - 1
                 ne = tuple(ne)
-                out[ne] = out.get(ne, Fraction(0)) + c * p
+                out[ne] = out.get(ne, 0) + c * p
         return Polynomial(self.reg, out)
 
     def evaluate(self, point):
@@ -462,19 +482,17 @@ class Polynomial:
 
     def content(self):
         """Positive rational content (0 for the zero polynomial)."""
-        if self.is_zero:
-            return Fraction(0)
         num = 0
         den = 1
         for c in self.terms.values():
             num = math.gcd(num, c.numerator)
             den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
     def signed_content(self):
         """Content carrying the sign of the leading (grevlex) coefficient."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         c = self.content()
         _, lc = self.leading()
         return c if lc > 0 else -c
@@ -482,9 +500,15 @@ class Polynomial:
     def primitive(self):
         """(primitive part with positive leading coefficient, signed content)."""
         if self.is_zero:
-            return self, Fraction(0)
+            return self, 0
         c = self.signed_content()
-        return self * (1 / c), c
+        if c == 1:
+            return self, c
+        if type(c) is int:  # every coefficient is integral: divide exactly
+            return Polynomial(
+                self.reg, {e: v // c for e, v in self.terms.items()}, _clean=True
+            ), c
+        return self * Fraction(1, c), c
 
     # -- display ----------------------------------------------------------
 
@@ -798,9 +822,7 @@ def _monomial_and_heu_gcd(f, g):
         cand = _heu_gcd(reg, fi, gi)
         if cand is None:
             return None
-        core = Polynomial(
-            reg, {e: Fraction(c) for e, c in cand.items()}, _clean=True
-        ).primitive()[0]
+        core = Polynomial(reg, cand, _clean=True).primitive()[0]
     return core * mono if mono is not None else core
 
 
@@ -935,7 +957,7 @@ def divexact(p, d):
     if p.is_zero:
         return p
     if d.is_constant:
-        return p * (1 / d.constant_value())
+        return p * Fraction(1, d.constant_value())
     if len(d.terms) == 1:
         ((ed, cd),) = d.terms.items()
         q = {}
@@ -943,7 +965,7 @@ def divexact(p, d):
             s = tuple(x - y for x, y in zip(e, ed))
             if min(s) < 0:
                 raise ExactDivisionError("inexact polynomial division")
-            q[s] = c / cd
+            q[s] = _q(Fraction(c, cd))
         return Polynomial(p.reg, q, _clean=True)
     box = _quotient_box(p.terms, d.terms)
     if box is None:
@@ -957,7 +979,7 @@ def divexact(p, d):
         s = tuple(x - y for x, y in zip(e, ed))
         if any(x < 0 or x > y for x, y in zip(s, box)):
             raise ExactDivisionError("inexact polynomial division")
-        cc = r[e] / cd
+        cc = _q(Fraction(r[e], cd))
         q[s] = cc
         _addmul_terms(r, -cc, s, d.terms)
     return Polynomial(p.reg, q, _clean=True)
@@ -1004,8 +1026,8 @@ def _canonical(num, den):
         return num, num.reg.one()
     c = den.signed_content()
     if c != 1:
-        num = num * (1 / c)
-        den = den * (1 / c)
+        num = num * Fraction(1, c)
+        den = den * Fraction(1, c)
     return num, den
 
 

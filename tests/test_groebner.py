@@ -504,7 +504,7 @@ class TestNormalForm:
             return Polynomial(reg, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
 
         def monic(p):
-            return p * (1 / p.terms[max(p.terms, key=key)])
+            return p * Fraction(1, p.terms[max(p.terms, key=key)])
 
         rng = random.Random(41 + nstates)
         deg = 3 if nstates == 2 else 2
