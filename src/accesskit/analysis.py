@@ -410,6 +410,9 @@ def point_status(sys, x0, k):
     """Membership of an exact rational point in the k-step non-accessible
     set: does the accessibility matrix pinned to the point stay rank
     deficient for every input sequence?"""
+    for v in x0:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"coordinate is a {type(v).__name__}, not int or Fraction")
     x0 = tuple(Fraction(v) for v in x0)
     if len(x0) != sys.n:
         raise ValueError("point dimension does not match the state count")

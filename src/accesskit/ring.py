@@ -6,8 +6,10 @@ coefficient: an ``int`` when it is integral, else a ``Fraction``, so the
 integer arithmetic of most chain polynomials skips ``Fraction``.  Hence
 ``Fraction(1, c)``, not ``1 / c`` (a float for an int ``c``), is the exact
 inverse of a coefficient.  Rational functions keep a fully reduced
-numerator/denominator pair with a canonical scaling, so two arithmetic
-routes to the same value produce identical representations.
+numerator/denominator pair whose denominator is primitive over the integers
+with a positive leading coefficient, kept by construction (see
+`RationalFunction`), so two arithmetic routes to the same value produce
+identical representations.
 """
 
 from __future__ import annotations
@@ -1024,11 +1026,8 @@ def _canonical(num, den):
     coefficient; a zero numerator gets the denominator 1."""
     if num.is_zero:
         return num, num.reg.one()
-    c = den.signed_content()
-    if c != 1:
-        num = num * Fraction(1, c)
-        den = den * Fraction(1, c)
-    return num, den
+    den, c = den.primitive()
+    return (num if c == 1 else num * Fraction(1, c)), den
 
 
 def _raw(num, den):
@@ -1040,10 +1039,15 @@ def _raw(num, den):
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials with canonical normalization.
+    """Reduced fraction of polynomials whose denominator is primitive with
+    integer coefficients and a positive grevlex leading coefficient.
 
-    The denominator is primitive with integer coefficients and positive
-    leading coefficient; numerator and denominator share no factor.
+    Only `__init__` and `__truediv__`, where a denominator comes from
+    outside, scale one (`_canonical`).  Sums and products keep the form:
+    every `poly_gcd` result has it (so a constant gcd is 1), products and
+    exact quotients of primitive integer polynomials are primitive (Gauss's
+    lemma), grevlex leading coefficients multiply, and a zero sum needs
+    equal denominators, whose branch of `__add__` gives (0, 1).
     """
 
     __slots__ = ("num", "den")
@@ -1056,16 +1060,10 @@ class RationalFunction:
             raise ZeroPolynomialError("rational function with zero denominator")
         if not num.is_zero and not den.is_constant:
             g = poly_gcd(num, den)
-            if not (g.is_constant and g.constant_value() == 1):
+            if not g.is_constant:
                 num = divexact(num, g)
                 den = divexact(den, g)
         self.num, self.den = _canonical(num, den)
-
-    @classmethod
-    def _reduced(cls, num, den):
-        """Build from an already-coprime pair; only normalizes the sign
-        and content of the denominator."""
-        return _raw(*_canonical(num, den))
 
     # -- helpers ----------------------------------------------------------
 
@@ -1106,19 +1104,17 @@ class RationalFunction:
             num = n1 + n2
             g = poly_gcd(num, d1)
             if g.is_constant:
-                return RationalFunction._reduced(num, d1)
-            return RationalFunction._reduced(divexact(num, g), divexact(d1, g))
+                return _raw(num, d1)
+            return _raw(divexact(num, g), divexact(d1, g))
         d = poly_gcd(d1, d2)
         if d.is_constant:
-            return RationalFunction._reduced(n1 * d2 + n2 * d1, d1 * d2)
+            return _raw(n1 * d2 + n2 * d1, d1 * d2)
         q2 = divexact(d2, d)
         t = n1 * q2 + n2 * divexact(d1, d)
         g = poly_gcd(t, d)
         if g.is_constant:
-            return RationalFunction._reduced(t, d1 * q2)
-        return RationalFunction._reduced(
-            divexact(t, g), divexact(d1, g) * q2
-        )
+            return _raw(t, d1 * q2)
+        return _raw(divexact(t, g), divexact(d1, g) * q2)
 
     __radd__ = __add__
 
@@ -1136,7 +1132,7 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return RationalFunction(self.reg.zero())
+            return _raw(self.reg.zero(), self.reg.one())
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         g1 = poly_gcd(n1, d2)
@@ -1147,7 +1143,7 @@ class RationalFunction:
         if not g2.is_constant:
             n2 = divexact(n2, g2)
             d1 = divexact(d1, g2)
-        return RationalFunction._reduced(n1 * n2, d1 * d2)
+        return _raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -1157,7 +1153,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroPolynomialError("division by zero rational function")
-        return self * RationalFunction._reduced(other.den, other.num)
+        return self * _raw(*_canonical(other.den, other.num))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -1168,9 +1164,7 @@ class RationalFunction:
         other = self._coerce(other, self.reg)
         if other is NotImplemented:
             return NotImplemented
-        a, b = unify(self.num, other.num)
-        c, d = unify(self.den, other.den)
-        return a == b and c == d
+        return self.num == other.num and self.den == other.den
 
     # -- calculus ---------------------------------------------------------
 
@@ -1211,9 +1205,7 @@ class RationalFunction:
 
     def __str__(self):
         if self.is_polynomial:
-            if self.den.constant_value() == 1:
-                return str(self.num)
-            return f"({self.num})/{self.den.constant_value()}"
+            return str(self.num)
         return f"({self.num})/({self.den})"
 
     def __repr__(self):

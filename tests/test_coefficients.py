@@ -1,6 +1,7 @@
 """Coefficient representation: an integral coefficient is stored as an int,
-any other as a Fraction, a float is refused, and the two forms of an
-integral value are interchangeable."""
+any other as a Fraction, a float is refused (as a coefficient, a parameter
+value or a point coordinate), and the two forms of an integral value are
+interchangeable."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from accesskit import (
     algorithm2,
     build_M,
     parse_system,
+    point_status,
     poly_gcd,
     to_system_model,
 )
@@ -66,6 +68,20 @@ class TestFloatsRefused:
     def test_float_coefficient_raises(self, build):
         with pytest.raises(TypeError):
             build()
+
+    def test_float_parameter_value_raises(self, coil):
+        with pytest.raises(TypeError, match="float"):
+            coil.bind_params({"T": 0.1, "a": 1, "b": 2})
+        bound = coil.bind_params({"T": Fraction(1, 10), "a": 1, "b": 2})
+        assert bound.params == ()
+
+    def test_float_point_coordinate_raises(self, fivestep):
+        with pytest.raises(TypeError, match="float"):
+            point_status(fivestep, (0.1, 0), 2)
+        assert point_status(fivestep, (Fraction(1, 10), 0), 2).point == (
+            Fraction(1, 10),
+            Fraction(0),
+        )
 
     def test_exact_inverse_of_int_coefficient(self):
         p = REG.var("x") * 3

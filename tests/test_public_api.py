@@ -4,8 +4,10 @@ nothing else.
 Every name in `accesskit.__all__` must be read somewhere in
 `src/accesskit/cli.py`, `tests/*.py` or `perfbench/**/*.py`, and every
 name `perfbench/` reads off the package (`ak.X`, `accesskit.X`,
-`from accesskit import X`) must be exported or be a submodule.  The files
-are parsed with `ast`, never imported.
+`from accesskit import X`) must be exported or be a submodule.  The
+canonical form of `RationalFunction` is known to `ring.py` alone: no other
+module names `_canonical`, `_raw` or a private `RationalFunction`
+attribute.  The files are parsed with `ast`, never imported.
 """
 
 import ast
@@ -73,3 +75,39 @@ def test_benchmark_reads_only_exports():
         and name not in accesskit.__all__
     )
     assert not missing, f"read off the package but not exported: {missing}"
+
+
+RING_PRIVATE = {"_canonical", "_raw"}
+
+
+def _ring_private_lines(tree):
+    """Lines that name ring's canonical-form helpers or a private attribute
+    of RationalFunction."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            hit = node.id in RING_PRIVATE
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in RING_PRIVATE or (
+                isinstance(node.value, ast.Name)
+                and node.value.id == "RationalFunction"
+                and node.attr.startswith("_")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            hit = any(alias.name in RING_PRIVATE for alias in node.names)
+        else:
+            continue
+        if hit:
+            out.append(node.lineno)
+    return out
+
+
+def test_canonical_form_stays_inside_ring():
+    paths = sorted((ROOT / "src" / "accesskit").glob("*.py"))
+    found = [
+        f"{p.name}:{line}"
+        for p, tree in zip(paths, _trees(paths))
+        if p.name != "ring.py"
+        for line in _ring_private_lines(tree)
+    ]
+    assert not found, f"ring's canonical form named outside ring.py: {found}"
