@@ -28,10 +28,6 @@ class IndeterminateError(AccessKitError):
 class DegenerateDenominatorError(AccessKitError):
     """A substitution produced an identically zero denominator."""
 
-    def __init__(self, message, binding=None):
-        super().__init__(message)
-        self.binding = binding
-
 
 class ResourceBudgetError(AccessKitError):
     """A Groebner run exceeded its degree/size budget.

@@ -83,8 +83,6 @@ def clear_param_content(p):
     degeneracy conditions (e.g. a sampling step of zero).
     """
     reg = p.reg
-    if p.is_zero:
-        return p, reg.zero()
     spos = reg.state_indices
     lo, hi = spos.start, spos.stop
     cont = None  # a polynomial in the states alone: rational content only
@@ -138,8 +136,6 @@ def normal_form(p, basis, key=grevlex_key, normalize=True):
     whose leading monomial divides it, and adds the multiple of that
     element's other groups straight into the target groups.
     """
-    if p.is_zero:
-        return p
     reg = p.reg
     spos = reg.state_indices
     work = _split(p.terms, spos)
@@ -313,7 +309,7 @@ class Ideal:
     def __init__(self, reg, generators):
         self.reg = VariableRegistry(reg.states, reg.inputs, reg.params, horizon=0)
         gens = []
-        for g in generators:
+        for g in dict.fromkeys(generators):
             g = to_state_ring(g)
             if not g.is_zero:
                 gens.append(clear_param_content(g)[0])
@@ -342,8 +338,6 @@ class Ideal:
         reg = p.reg
         if not reg.compatible(self.reg):
             raise ValueError("reduction across different state rings")
-        if p.is_zero:
-            return p
         basis = self._reducers.get(reg.key)
         if basis is None:
             basis = self._reducers[reg.key] = [
@@ -375,8 +369,6 @@ class Ideal:
 
     def is_zero_dimensional(self):
         """True iff the state variety is finite (over the complex numbers)."""
-        if self.is_zero_ideal:
-            return False
         gb = self.groebner_basis()
         if any(g.is_constant for g in gb):
             return True  # empty variety
@@ -467,9 +459,6 @@ def radical_heuristic(ideal):
     finite singular locus).
     """
     reg = ideal.reg
-    if ideal.is_zero_ideal:
-        return ideal, True
-
     new_gens = []
     for g in ideal.groebner_basis():
         split = _sos_split(g)
@@ -556,8 +545,6 @@ def vanishing_ideal(reg, points):
             out.extend(lagrange * g for g in gens(names[:-1], fibre))
         return out
 
-    if not points:
-        return Ideal(reg, [reg.one()])
     return Ideal(reg, gens(list(reg.states), list(dict.fromkeys(points))))
 
 
@@ -576,8 +563,6 @@ def solve_zero_dim(ideal):
             message="basis coefficients depend on symbolic parameters; "
             "bind parameters to rational values first",
         )
-    if ideal.contains_one():
-        return SolveResult("points", points=[])
     if not ideal.is_zero_dimensional():
         return SolveResult(
             "not_zero_dimensional", message="variety has positive dimension"

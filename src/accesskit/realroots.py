@@ -135,8 +135,6 @@ def real_roots(coeffs):
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")
     sf = _square_free(coeffs)
-    if len(sf) == 1:
-        return []
     a = _primitive_lead(sf)
     chain = _sturm_chain(sf)
     bound = _root_bound(sf)

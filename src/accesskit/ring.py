@@ -198,13 +198,6 @@ class VariableRegistry:
             return STATE
         return INPUT
 
-    def input_time(self, i):
-        """Time index of an input position (None for non-inputs)."""
-        p, n, m = len(self.params), len(self.states), len(self.inputs)
-        if i < p + n:
-            return None
-        return (i - p - n) // m
-
     def class_indices(self, kind):
         return [i for i in range(self.arity) if self.kind(i) == kind]
 
@@ -401,8 +394,16 @@ class Polynomial:
         return a.terms == b.terms
 
     def __hash__(self):
+        # Equal polynomials may lie in registries of different horizons,
+        # and a lift pads only input positions; a constant equals its value.
         if self._hash is None:
-            self._hash = hash((self.reg.key, frozenset(self.terms.items())))
+            if self.is_constant:
+                self._hash = hash(self.constant_value())
+            else:
+                stop = self.reg.state_indices.stop
+                self._hash = hash(
+                    frozenset((e[:stop], c) for e, c in self.terms.items())
+                )
         return self._hash
 
     # -- calculus ---------------------------------------------------------
@@ -774,12 +775,15 @@ def poly_gcd(f, g):
     f, g = unify(f, g)
     reg = f.reg
     if f.is_zero:
-        return g.primitive()[0] if not g.is_zero else reg.zero()
+        return g.primitive()[0]
     if g.is_zero:
         return f.primitive()[0]
     if f.is_constant or g.is_constant:
         return reg.one()
-    key = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+    # Polynomials equal across horizons are equal keys; the horizon keeps
+    # a hit in the caller's registry.
+    pair = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+    key = (reg.horizon, *pair)
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
@@ -994,8 +998,6 @@ def square_free_part(p):
     if p.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
     pp, _ = p.primitive()
-    if pp.is_constant:
-        return pp.reg.one()
     h = pp
     for i in sorted(pp.variables_used()):
         h = poly_gcd(h, pp.diff(pp.reg.name(i)))
@@ -1184,8 +1186,7 @@ class RationalFunction:
         den = None if self.is_polynomial else self.den.substitute(bindings)
         if den is not None and den.is_zero:
             raise DegenerateDenominatorError(
-                "substitution produced an identically zero denominator",
-                binding={name: str(v) for name, v in bindings.items()},
+                "substitution produced an identically zero denominator"
             )
         if isinstance(num, Polynomial):
             return RationalFunction(num, den)

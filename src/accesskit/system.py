@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import prod
 from typing import NamedTuple
 
 from .ring import (
@@ -36,14 +35,7 @@ class SystemModel:
         for f in phi:
             if isinstance(f, Polynomial):
                 f = RationalFunction(f)
-            f = f.lift(self.reg) if f.reg != self.reg else f
-            for i in f.num.variables_used() | f.den.variables_used():
-                t = f.reg.input_time(i)
-                if t not in (None, 0):
-                    raise ValueError(
-                        "transition map may only use current-time inputs"
-                    )
-            comps.append(f)
+            comps.append(f.lift(self.reg) if f.reg != self.reg else f)
         if len(comps) != len(self.reg.states):
             raise ValueError("one transition component per state required")
         self.phi = tuple(comps)
@@ -219,31 +211,33 @@ def _det_rational(entries):
     one registry (`build_M` puts every entry of M_k and A<k-1> in the
     horizon-k registry).
 
-    A 2 x 2 matrix with mixed denominators is expanded with reduced
-    rational arithmetic.  Any other is cleared of denominators by
-    polynomial multipliers, its fraction-free determinant is taken once,
-    and that is divided by each multiplier: each column's denominator when
-    the column shares one (the common case for M_k), else, once, the
-    product of each row's plain product of its denominators.
+    Two rules, chosen by the denominators:
+
+    - every column shares one denominator (the shape of M_k): clear each
+      column by it, take one fraction-free determinant, and divide by
+      each non-constant one.  Clearing pays only here, where it brings no
+      other column's factors into an entry, and one polynomial
+      determinant costs far less than a rational expansion;
+    - any other matrix, at any size: expand along the first row, skipping
+      zero entries, in reduced rational arithmetic, which keeps every
+      cofactor reduced.
     """
     n = len(entries)
     if n == 1:
         return entries[0][0]
     col_dens = [e.den for e in entries[0]]
-    if all(
+    if not all(
         e.den.terms == d.terms for row in entries[1:] for e, d in zip(row, col_dens)
     ):
-        rows, multipliers = [[e.num for e in row] for row in entries], col_dens
-    elif n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    else:
-        dens = [prod(e.den for e in row) for row in entries]
-        rows = [
-            [e.num * divexact(d, e.den) for e in row] for row, d in zip(entries, dens)
+        terms = [
+            (e if j % 2 == 0 else -e)
+            * _det_rational([row[:j] + row[j + 1 :] for row in entries[1:]])
+            for j, e in enumerate(entries[0])
+            if not e.is_zero
         ]
-        multipliers = [prod(dens)]
-    det = RationalFunction(bareiss_determinant(rows))
-    for f in multipliers:
+        return sum(terms[1:], terms[0]) if terms else entries[0][0]
+    det = RationalFunction(bareiss_determinant([[e.num for e in row] for row in entries]))
+    for f in col_dens:
         if not f.is_constant:
             det = det / RationalFunction(f)
     return det

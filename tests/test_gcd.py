@@ -225,3 +225,13 @@ class TestCoprimeDeclines:
         assert fresh_gcd(monkeypatch, f, g) == REG.one() == sympy_gcd(f, g)
         self.point(monkeypatch, y=5)
         assert _coprime(_int_scale(f), _int_scale(g))
+
+
+def test_cached_gcd_stays_in_the_callers_registry(monkeypatch):
+    # the same pair at horizons 1 and 0 are equal cache keys but for the
+    # horizon: a hit must not hand back the other registry's gcd
+    monkeypatch.setattr(ring, "_GCD_CACHE", {})
+    r1 = VariableRegistry(("x", "y"), ("u",), (), 1)
+    for reg in (r1, r1.with_horizon(0), r1.with_horizon(2)):
+        x, y = reg.var("x"), reg.var("y")
+        assert poly_gcd((x + y) * x, (x + y) * y).reg == reg

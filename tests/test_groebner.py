@@ -636,3 +636,31 @@ class TestMixedMembership:
             ideal.contains(other.var("y1"))
         with pytest.raises(ValueError):
             ideal.reduce(other.var("y1"), normalize=False)
+
+
+class TestZeroAndUnitIdeals:
+    """The zero polynomial, the zero ideal and <1> take the general paths."""
+
+    def test_zero_polynomial_has_zero_content(self, reg):
+        assert clear_param_content(reg.zero()) == (0, 0)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_zero_reduces_to_zero(self, reg, normalize):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        for I in (Ideal(reg, []), Ideal(reg, [x1 * x1 - x2])):
+            assert I.reduce(reg.zero(), normalize=normalize).is_zero
+
+    def test_zero_ideal_is_not_zero_dimensional(self, reg):
+        assert not Ideal(reg, []).is_zero_dimensional()
+
+    def test_zero_ideal_is_its_certified_radical(self, reg):
+        J, certified = radical_heuristic(Ideal(reg, []))
+        assert J.is_zero_ideal and J.groebner_basis() == []
+        assert certified
+
+    def test_no_points_vanish_on_the_unit_ideal(self, reg):
+        assert vanishing_ideal(reg, []).equal(Ideal(reg, [reg.one()]))
+
+    def test_unit_ideal_has_no_points(self, reg):
+        sol = solve_zero_dim(Ideal(reg, [reg.one()]))
+        assert (sol.status, sol.points) == ("points", [])

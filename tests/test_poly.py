@@ -280,6 +280,9 @@ class TestSquareFree:
         with pytest.raises(ZeroPolynomialError):
             square_free_part(reg.zero())
 
+    def test_constant_gives_one(self, reg):
+        assert square_free_part(reg.const(Fraction(-6, 5))) == 1
+
     def test_divides_and_idempotent_randomized(self, reg):
         rng = random.Random(11)
         for _ in range(200):
@@ -353,6 +356,9 @@ class TestNormalization:
 
 
 class TestGcd:
+    def test_both_zero(self, reg):
+        assert poly_gcd(reg.zero(), reg.zero()).is_zero
+
     def test_gcd_divides_both_randomized(self, reg):
         rng = random.Random(23)
         for _ in range(200):
@@ -368,3 +374,22 @@ class TestGcd:
             if not c.is_constant:
                 # the common cofactor must survive in the gcd
                 assert divexact(h, c.primitive()[0]) is not None
+
+
+class TestHashAgreesWithEquality:
+    def test_across_horizons(self):
+        r1 = VariableRegistry(("x",), ("u",), ("a",), 1)
+        for other in (r1.with_horizon(0), r1.with_horizon(2)):
+            p = r1.var("x") * r1.var("a") + 2
+            q = other.var("x") * other.var("a") + 2
+            assert p == q
+            assert len({p, q}) == 1
+            assert {p: "p"}[q] == "p"
+        u1, u2 = r1.var("u"), r1.with_horizon(2).var("u")
+        assert u1 == u2 and hash(u1) == hash(u2)
+
+    def test_constants_hash_as_their_value(self):
+        reg = VariableRegistry(("x",), ("u",))
+        for c in (0, 3, Fraction(-1, 2)):
+            assert reg.const(c) == c
+            assert len({reg.const(c), c}) == 1

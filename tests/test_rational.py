@@ -169,3 +169,40 @@ def test_det_rational_matches_sympy(shape, seed):
     _assert_canonical(det)
     want = sympy.Matrix([[to_sympy(e) for e in row] for row in rows]).det("laplace")
     assert sympy.cancel(to_sympy(det) - want) == 0
+
+
+def _fraction_det(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * a * _fraction_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+@pytest.mark.parametrize("zero_first", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_4x4_at_points(zero_first, seed):
+    # denominators from a pool of three, as in the 3 x 3 shape (sixteen
+    # distinct ones make a determinant that takes minutes); checked
+    # against the determinant of the values at exact points
+    rng = random.Random(f"mixed-4x4:{seed}:{zero_first}")
+    pool = [_nonconstant(rng) for _ in range(3)]
+    rows = [
+        [RationalFunction(_poly(rng), rng.choice(pool)) for _ in range(4)]
+        for _ in range(4)
+    ]
+    if zero_first:
+        rows[0][rng.randrange(4)] = RationalFunction(REG.zero())
+    assert not _column_dens_shared(rows)
+    det = _det_rational(rows)
+    _assert_canonical(det)
+    checked = 0
+    while checked < 3:
+        point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for n in "xyz"}
+        if any(e.den.evaluate(point) == 0 for row in rows for e in row):
+            continue
+        values = [[e.evaluate(point) for e in row] for row in rows]
+        assert det.evaluate(point) == _fraction_det(values)
+        checked += 1

@@ -47,6 +47,9 @@ class TestAgainstSympy:
 
 
 class TestRealRoots:
+    def test_nonzero_constant_has_no_roots(self):
+        assert real_roots([3]) == []
+
     def test_large_rational_root(self):
         assert real_roots([-(10**12 + 39), 1]) == [Fraction(10**12 + 39)]
         big = [10**12 + 39, -(10**12 + 40), 1]  # (x - 1)(x - 10^12 - 39)

@@ -21,6 +21,7 @@ from accesskit import (
     to_system_model,
 )
 from accesskit.analysis import _step_ideal
+from accesskit.errors import UnregisteredVariableError
 from accesskit.oracle import finite_difference_jacobian
 from accesskit.system import minor_determinants
 
@@ -185,6 +186,22 @@ class TestMinors:
                  "u1": Fraction(1), "u2": Fraction(-2), "u3": Fraction(5, 3)}
         _assert_minors_at(mixed, 1, point)
 
+    def test_mixed_denominators_past_the_first_step(self):
+        # at k = 2 the minors touching the newest block have 3 x 3
+        # submatrices whose columns mix denominators of up to 39 terms
+        mixed = to_system_model(parse_system(
+            "system mixed\nstates x1 x2 x3\ninputs u1 u2 u3\n"
+            "x1' = x1 + u1/(x2 + 2)\n"
+            "x2' = x2 + u2/(x3 + 3) + u1*x1\n"
+            "x3' = x3 + u3*x1/(x1 - 1) + u2\n"
+        ))
+        rng = random.Random(2)
+        point = {
+            n: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for n in mixed.reg.with_horizon(2).names()
+        }
+        _assert_minors_at(mixed, 2, point)
+
     def test_zero_matrix_zero_ideal(self, drift):
         # drift's second state never sees the input: step-2 minors vanish
         assert _step_ideal(drift, 2).is_zero_ideal
@@ -210,3 +227,11 @@ class TestSubmersivity:
         x1 = RationalFunction(reg.var("x1"))
         sys = SystemModel(("x1", "x2"), ("u",), [x1, x1], (), "flat")
         assert not submersivity_check(sys)
+
+
+class TestSystemModel:
+    def test_later_inputs_are_refused(self):
+        # a transition map may use only the current inputs
+        reg = VariableRegistry(("x",), ("u",), (), 2)
+        with pytest.raises(UnregisteredVariableError):
+            SystemModel(("x",), ("u",), [reg.var("x") + reg.var("u(1)")])
