@@ -110,33 +110,29 @@ def _locus_factor(den):
     return None if sf.is_constant else sf
 
 
-def _step(sys, k):
-    """The step-k record, built once per model: the minor-coefficient ideal
-    I_{M_k} (the input-monomial coefficients of the numerators of the n x n
-    minors of M_k) and the excluded-locus factors of M_k's entries and
-    minors, in first-seen order."""
+def _step_ideal(sys, k):
+    """The minor-coefficient ideal I_{M_k}, built once per model: the
+    input-monomial coefficients of the numerators of the n x n minors of
+    M_k."""
     key = ("step", k)
     if key not in sys._cache:
         dets = minor_determinants(sys, k).values()
-        dens = [e.den for row in build_M(sys, k) for e in row]
-        dens += [d.den for d in dets]
-        locus = [f for f in map(_locus_factor, dens) if f is not None]
         gens = [c for d in dets for c in collect_by_class(d.num, "input").values()]
-        sys._cache[key] = (Ideal(sys.reg, gens), list(dict.fromkeys(locus)))
+        sys._cache[key] = Ideal(sys.reg, gens)
     return sys._cache[key]
 
 
-def _step_ideal(sys, k):
-    return _step(sys, k)[0]
-
-
 def _locus_upto(sys, k):
-    """Excluded-locus factors of steps 1..k, in first-seen order.  A
-    polynomial map has none: every entry and minor has a constant
-    denominator."""
+    """Excluded-locus factors of the entries and minors of M_1..M_k, in
+    first-seen order.  A polynomial map has none: every entry and minor
+    has a constant denominator."""
     if all(f.is_polynomial for f in sys.phi):
         return []
-    return list(dict.fromkeys(f for j in range(1, k + 1) for f in _step(sys, j)[1]))
+    dens = []
+    for j in range(1, k + 1):
+        dens += [e.den for row in build_M(sys, j) for e in row]
+        dens += [d.den for d in minor_determinants(sys, j).values()]
+    return list(dict.fromkeys(f for f in map(_locus_factor, dens) if f is not None))
 
 
 def _fast_chain_ok(sys):

@@ -470,10 +470,7 @@ def radical_heuristic(ideal):
     J = Ideal(reg, new_gens)
     gb = J.groebner_basis()
 
-    # trivial ideal
-    if J.contains_one():
-        return Ideal(reg, [reg.one()]), True
-    # monomial ideal: radical is exact
+    # monomial ideal, <1> included: radical is exact
     if _is_monomial_set(gb):
         R = Ideal(reg, _radical_of_monomials(gb))
         # every S-polynomial of two monomials is zero, so the minimal
@@ -573,13 +570,11 @@ def solve_zero_dim(ideal):
     def rec(gens, names, partial):
         """Solve the lex basis from the last state up; the solutions as
         dicts, or None once a level has an irrational root."""
-        if not names:
-            if any(not g.is_zero for g in gens):
-                return []
-            return [dict(partial)]
         gens = [g for g in gens if not g.is_zero]
         if any(g.is_constant for g in gens):
             return []
+        if not names:
+            return [dict(partial)]
         last = names[-1]
         li = reg.index(last)
         univ = [g for g in gens if g.variables_used() <= {li}]

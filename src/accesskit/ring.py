@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DegenerateDenominatorError,
@@ -59,23 +60,11 @@ def _coefficient(c):
 
 def _mul_terms(a, b):
     """Product of two term maps."""
-    if not a or not b:
-        return {}
     if len(a) > len(b):
         a, b = b, a
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e)
-            if c is None:
-                out[e] = ca * cb
-            else:
-                c = c + ca * cb
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
+    for e, c in a.items():
+        _addmul_terms(out, c, e, b)
     return out
 
 
@@ -96,11 +85,12 @@ def _add_terms(a, b):
 
 
 def _addmul_terms(acc, coeff, shift, src):
-    """In-place ``acc += coeff * x^shift * src``.  Returns ``acc``."""
+    """In-place ``acc += coeff * x^shift * src``.  Returns ``acc``.
+    Products, both exact-division loops and `_from_univar` go through it."""
     if not coeff:
         return acc
     for e, c in src.items():
-        es = tuple(x + y for x, y in zip(e, shift))
+        es = tuple(map(add, e, shift))
         cur = acc.get(es)
         if cur is None:
             acc[es] = coeff * c
@@ -501,12 +491,9 @@ class Polynomial:
         return c if lc > 0 else -c
 
     def primitive(self):
-        """(primitive part with positive leading coefficient, signed content)."""
-        if self.is_zero:
-            return self, 0
+        """(primitive part with positive leading coefficient, signed content);
+        an integral polynomial's primitive part has int coefficients."""
         c = self.signed_content()
-        if c == 1:
-            return self, c
         if type(c) is int:  # every coefficient is integral: divide exactly
             return Polynomial(
                 self.reg, {e: v // c for e, v in self.terms.items()}, _clean=True
@@ -575,7 +562,7 @@ def _to_univar(p, i):
 def _from_univar(reg, i, coeffs):
     terms = {}
     for d, c in coeffs.items():
-        terms.update((e[:i] + (d,) + e[i + 1 :], v) for e, v in c.terms.items())
+        _addmul_terms(terms, 1, (0,) * i + (d,) + (0,) * (reg.arity - i - 1), c.terms)
     return Polynomial(reg, terms, _clean=True)
 
 
@@ -723,14 +710,7 @@ def _divides_int(cand, terms):
         s = tuple(a - b for a, b in zip(e, ed))
         if any(a < 0 or a > b for a, b in zip(s, box)):
             return False
-        q = c // cd
-        for ce, cc in cand.items():
-            t = tuple(a + b for a, b in zip(s, ce))
-            v = r.get(t, 0) - q * cc
-            if v:
-                r[t] = v
-            else:
-                r.pop(t, None)
+        _addmul_terms(r, -(c // cd), s, cand)
     return True
 
 
@@ -818,17 +798,14 @@ def _monomial_and_heu_gcd(f, g):
     if fm and gm:
         common = tuple(min(a, b) for a, b in zip(fm, gm))
     mono = reg.monomial(common) if common and any(common) else None
-    if f.is_constant or g.is_constant:
-        core = reg.one()
-    else:
-        fi = _int_scale(f)
-        gi = _int_scale(g)
-        if _coprime(fi, gi):
-            return mono if mono is not None else reg.one()
-        cand = _heu_gcd(reg, fi, gi)
-        if cand is None:
-            return None
-        core = Polynomial(reg, cand, _clean=True).primitive()[0]
+    fi = _int_scale(f)
+    gi = _int_scale(g)
+    if _coprime(fi, gi):  # a constant core shares no variable
+        return mono if mono is not None else reg.one()
+    cand = _heu_gcd(reg, fi, gi)
+    if cand is None:
+        return None
+    core = Polynomial(reg, cand, _clean=True).primitive()[0]
     return core * mono if mono is not None else core
 
 
@@ -1172,9 +1149,6 @@ class RationalFunction:
 
     def diff(self, name):
         """Exact partial derivative (quotient rule, normalized)."""
-        self.reg.index(name)
-        if self.is_polynomial:
-            return RationalFunction(self.num.diff(name), self.den)
         dn = self.num.diff(name)
         dd = self.den.diff(name)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)

@@ -222,9 +222,6 @@ def _det_rational(entries):
       zero entries, in reduced rational arithmetic, which keeps every
       cofactor reduced.
     """
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
     col_dens = [e.den for e in entries[0]]
     if not all(
         e.den.terms == d.terms for row in entries[1:] for e, d in zip(row, col_dens)

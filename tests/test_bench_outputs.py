@@ -3,9 +3,11 @@
 `perfbench/worker.py` summarises each decision: kappa, the singular set
 and, for `index` decisions, r*, certification and the final ideal of a
 chain model; the status of a point.  This test replays the first
-CHAIN_DECISIONS decisions of round 0, seed 1, of each chain workload and
-all of round 0 of `points`, and compares their summaries with
-`tests/bench_expected/`.  A change that alters a verdict re-records them:
+CHAIN_DECISIONS decisions of round 0 of each chain workload and all of
+round 0 of `points`, on each of SEEDS, and compares their summaries with
+`tests/bench_expected/` (`<workload>.json` for seed 1,
+`<workload>-seed<n>.json` for the others).  A change that alters a verdict
+re-records them:
 
     PYTHONPATH=src python tests/test_bench_outputs.py
 
@@ -26,6 +28,11 @@ from conftest import ROOT
 EXPECTED = ROOT / "tests" / "bench_expected"
 CHAIN_DECISIONS = 12
 WORKLOADS = ("poly-chain", "rational-chain", "points")
+SEEDS = (1, 2)
+
+
+def _stem(workload, seed):
+    return workload if seed == 1 else f"{workload}-seed{seed}"
 
 
 def _load_worker():
@@ -43,10 +50,10 @@ def _load_worker():
             sys.modules["gen"] = saved
 
 
-def summaries(workload):
+def summaries(workload, seed):
     """Summaries of the pinned decisions of a workload, in their order."""
     worker = _load_worker()
-    decisions = worker["gen"].round_decisions(workload, 1, 0)
+    decisions = worker["gen"].round_decisions(workload, seed, 0)
     if workload != "points":
         decisions = decisions[:CHAIN_DECISIONS]
     models = {}
@@ -59,13 +66,17 @@ def summaries(workload):
     return out
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_summaries_match_the_recording(workload):
-    expected = json.loads((EXPECTED / f"{workload}.json").read_text())
-    assert summaries(workload) == expected
+@pytest.mark.parametrize(
+    ("workload", "seed"),
+    [pytest.param(w, s, id=_stem(w, s)) for s in SEEDS for w in WORKLOADS],
+)
+def test_summaries_match_the_recording(workload, seed):
+    expected = json.loads((EXPECTED / f"{_stem(workload, seed)}.json").read_text())
+    assert summaries(workload, seed) == expected
 
 
 if __name__ == "__main__":
-    for workload in WORKLOADS:
-        doc = json.dumps(summaries(workload), indent=1) + "\n"
-        (EXPECTED / f"{workload}.json").write_text(doc)
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            doc = json.dumps(summaries(workload, seed), indent=1) + "\n"
+            (EXPECTED / f"{_stem(workload, seed)}.json").write_text(doc)

@@ -173,6 +173,17 @@ def test_gcd_matches_sympy(f, g, h):
     assert all(type(c) is int for c in got.terms.values())
 
 
+def test_primitive_part_of_integral_fractions_is_int():
+    # a product of Fractions leaves integral Fractions behind; a canonical
+    # denominator holds ints all the same
+    x, y = REG.var("x"), REG.var("y")
+    den = (x * Fraction(1, 2) + Fraction(1, 2)) * (2 * y + 2)
+    assert not all(type(c) is int for c in den.terms.values())
+    f = RationalFunction(REG.one(), den)
+    assert f.den.terms == (x * y + x + y + 1).terms
+    assert all(type(c) is int for c in f.den.terms.values())
+
+
 @derandomized
 @given(polys)
 def test_primitive_matches_sympy(f):

@@ -227,6 +227,15 @@ class TestCoprimeDeclines:
         assert _coprime(_int_scale(f), _int_scale(g))
 
 
+def test_gcd_with_a_monomial_or_a_constant(monkeypatch):
+    # a monomial strips to a constant core, which shares no variable
+    monkeypatch.setattr(ring, "_GCD_CACHE", {})
+    x, y = REG.var("x"), REG.var("y")
+    assert poly_gcd(x**2 * y, REG.const(3)) == REG.one()
+    assert poly_gcd(x**2 * y, x * y**2) == x * y
+    assert poly_gcd(2 * x**2 * y, 4 * x * y + 4 * x) == x
+
+
 def test_cached_gcd_stays_in_the_callers_registry(monkeypatch):
     # the same pair at horizons 1 and 0 are equal cache keys but for the
     # horizon: a hit must not hand back the other registry's gcd

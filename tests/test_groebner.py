@@ -658,6 +658,12 @@ class TestZeroAndUnitIdeals:
         assert J.is_zero_ideal and J.groebner_basis() == []
         assert certified
 
+    def test_unit_ideal_is_its_certified_radical(self, reg):
+        # [1] is a monomial basis, whose monomial radical is <1>
+        J, certified = radical_heuristic(Ideal(reg, [reg.one()]))
+        assert J.groebner_basis() == [reg.one()]
+        assert certified
+
     def test_no_points_vanish_on_the_unit_ideal(self, reg):
         assert vanishing_ideal(reg, []).equal(Ideal(reg, [reg.one()]))
 

@@ -14,7 +14,11 @@ from accesskit import (
     poly_gcd,
     square_free_part,
 )
-from accesskit.errors import IndeterminateError, ZeroPolynomialError
+from accesskit.errors import (
+    IndeterminateError,
+    UnregisteredVariableError,
+    ZeroPolynomialError,
+)
 from accesskit.ring import divexact
 
 
@@ -49,6 +53,13 @@ class TestDifferentiate:
     def test_unregistered_variable(self, reg):
         with pytest.raises(Exception):
             rf(reg, "x1").diff("nope")
+
+    def test_polynomial_by_the_quotient_rule(self, reg):
+        x1, x2 = reg.var("x1"), reg.var("x2")
+        d = RationalFunction(x1 * x2).diff("x1")
+        assert (d.num.terms, d.den.terms) == (x2.terms, reg.one().terms)
+        with pytest.raises(UnregisteredVariableError):
+            RationalFunction(x1 * x2).diff("zz")
 
     def test_finite_difference_agreement(self, reg):
         v = build(reg)

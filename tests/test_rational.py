@@ -171,6 +171,13 @@ def test_det_rational_matches_sympy(shape, seed):
     assert sympy.cancel(to_sympy(det) - want) == 0
 
 
+def test_one_by_one_determinant_is_its_entry():
+    x, y = REG.var("x"), REG.var("y")
+    f = RationalFunction(x * Fraction(1, 3) + 1, 2 * y * y + 4)
+    det = _det_rational([[f]])
+    assert (det.num.terms, det.den.terms) == (f.num.terms, f.den.terms)
+
+
 def _fraction_det(rows):
     """Laplace expansion along the first row."""
     if len(rows) == 1:
