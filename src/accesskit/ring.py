@@ -495,6 +495,8 @@ class Polynomial:
         an integral polynomial's primitive part has int coefficients."""
         c = self.signed_content()
         if type(c) is int:  # every coefficient is integral: divide exactly
+            if c == 1 and all(type(v) is int for v in self.terms.values()):
+                return self, 1
             return Polynomial(
                 self.reg, {e: v // c for e, v in self.terms.items()}, _clean=True
             ), c
@@ -767,13 +769,36 @@ def poly_gcd(f, g):
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _monomial_and_heu_gcd(f, g)
+    out = _smaller_operand_gcd(*pair)
+    if out is None:
+        out = _monomial_and_heu_gcd(f, g)
     if out is None:
         out = _prs_gcd(f, g)
     if len(_GCD_CACHE) > 4096:
         _GCD_CACHE.clear()
     _GCD_CACHE[key] = out
     return out
+
+
+def _smaller_operand_gcd(f, g):
+    """gcd(f, g) by one of two exact rules, or None; f has no more terms
+    than g.
+
+    The primitive part of f is the gcd when it divides g.  Otherwise, when
+    one operand uses variables the other lacks, no common factor can use
+    them: the gcd is that of the other operand and the first one's
+    coefficients in those variables (Geddes, Czapor & Labahn 1992, ch. 7),
+    folded until one is constant.
+    """
+    s = f.primitive()[0]
+    if _divides_int(s.terms, _int_scale(g)):
+        return s
+    uf, ug = _used(f.terms), _used(g.terms)
+    for a, b, own in ((g, f, ug - uf), (f, g, uf - ug)):
+        if own:
+            coeffs = _split(a.terms, tuple(own)).values()
+            return _gcd_all([b, *(Polynomial(a.reg, t, _clean=True) for t in coeffs)])
+    return None
 
 
 def _strip_monomial(p):
@@ -900,13 +925,7 @@ def _int_scale(p):
 
 def _prs_gcd(f, g):
     reg = f.reg
-    vf = f.variables_used()
-    vg = g.variables_used()
-    i = max(vf | vg)
-    if i not in vf:
-        return poly_gcd(f, _content_in(g, (i,)))
-    if i not in vg:
-        return poly_gcd(_content_in(f, (i,)), g)
+    i = max(f.variables_used() | g.variables_used())
     fu = _to_univar(f, i)
     gu = _to_univar(g, i)
     cf = _gcd_all(fu.values())

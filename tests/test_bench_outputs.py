@@ -28,7 +28,7 @@ from conftest import ROOT
 EXPECTED = ROOT / "tests" / "bench_expected"
 CHAIN_DECISIONS = 12
 WORKLOADS = ("poly-chain", "rational-chain", "points")
-SEEDS = (1, 2)
+SEEDS = (1, 2, 3)
 
 
 def _stem(workload, seed):

@@ -184,6 +184,16 @@ def test_primitive_part_of_integral_fractions_is_int():
     assert all(type(c) is int for c in f.den.terms.values())
 
 
+def test_primitive_of_an_int_primitive_polynomial_is_itself():
+    # no copy: the polynomial keeps its term map and its cached hash
+    x, y = REG.var("x"), REG.var("y")
+    p = 2 * x * y - 3 * y + 1
+    pp, c = p.primitive()
+    assert pp is p and c == 1
+    q = -p
+    assert q.primitive()[0] == p and q.primitive()[1] == -1
+
+
 @derandomized
 @given(polys)
 def test_primitive_matches_sympy(f):

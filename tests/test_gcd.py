@@ -18,30 +18,36 @@ NAMES = REG.names()
 SYMS = sympy.symbols(NAMES)
 
 
+def symbols(reg):
+    return [sympy.Symbol(n) for n in reg.names()]
+
+
 def to_sympy(p):
     return sympy.Add(
         *(
             sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(s**k for s, k in zip(SYMS, e)))
+            * sympy.Mul(*(s**k for s, k in zip(symbols(p.reg), e)))
             for e, c in p.terms.items()
         )
     )
 
 
-def from_sympy(q):
-    terms = sympy.Poly(q, *SYMS).terms()
-    return REG.zero() + ring.Polynomial(
-        REG, {e: Fraction(int(c.p), int(c.q)) for e, c in terms}
+def from_sympy(q, reg=REG):
+    terms = sympy.Poly(q, *symbols(reg)).terms()
+    return reg.zero() + ring.Polynomial(
+        reg, {e: Fraction(int(c.p), int(c.q)) for e, c in terms}
     )
 
 
-def random_poly(rng, terms=3, deg=3, coeff=6):
-    """A random polynomial with rational coefficients over every variable."""
+def random_poly(rng, terms=3, deg=3, coeff=6, over=None):
+    """A random polynomial with rational coefficients over the variables
+    named in ``over`` (default: every variable)."""
+    positions = [REG.index(n) for n in over] if over else range(REG.arity)
     out = {}
     for _ in range(terms):
         e = [0] * REG.arity
         for _ in range(rng.randint(1, deg)):
-            e[rng.randrange(REG.arity)] += 1
+            e[rng.choice(positions)] += 1
         out[tuple(e)] = Fraction(rng.randint(-coeff, coeff), rng.randint(1, 3))
     return ring.Polynomial(REG, out)
 
@@ -62,7 +68,7 @@ def nonconstant(rng, **kw):
 
 
 def sympy_gcd(f, g):
-    return from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).primitive()[0]
+    return from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)), f.reg).primitive()[0]
 
 
 def fresh_gcd(monkeypatch, f, g):
@@ -73,9 +79,9 @@ def fresh_gcd(monkeypatch, f, g):
 
 @pytest.fixture(params=["default", "prs"])
 def path(request, monkeypatch):
-    """The gcd path under test: "prs" turns the coprimality certificate and
-    GCDHEU off, so every nontrivial gcd goes through `_prs_gcd`; the test
-    ends by checking that it ran."""
+    """The gcd path under test: "prs" turns the divisor test, the content
+    fold, the coprimality certificate and GCDHEU off, so every nontrivial
+    gcd goes through `_prs_gcd`; the test ends by checking that it ran."""
     if request.param == "default":
         yield request.param
         return
@@ -86,6 +92,7 @@ def path(request, monkeypatch):
         calls.append(1)
         return prs(f, g)
 
+    monkeypatch.setattr(ring, "_smaller_operand_gcd", lambda f, g: None)
     monkeypatch.setattr(ring, "_coprime", lambda f, g: False)
     monkeypatch.setattr(ring, "_heu_gcd", lambda reg, f, g: None)
     monkeypatch.setattr(ring, "_prs_gcd", counting)
@@ -136,6 +143,75 @@ class TestGcdAgainstSympy:
             if f.is_zero or g.is_zero:
                 continue
             assert fresh_gcd(monkeypatch, f, g) == sympy_gcd(f, g)
+
+
+def det_shape():
+    """A column division of `_det_rational`: a product of shifted input
+    denominators and a determinant numerator over states and inputs that
+    holds one of its factors."""
+    reg = VariableRegistry(("x", "y"), ("u",), (), 2)
+    x, y, u, u1 = (reg.var(n) for n in ("x", "y", "u", "u(1)"))
+    den = (8 * u - 7) * (8 * u1 - 7)
+    return reg, den, (8 * u - 7) * (x * y + 2 * x - 5), 8 * u - 7
+
+
+class TestSmallerOperandRules:
+    """The divisor test and the content fold answer before GCDHEU."""
+
+    def test_one_operand_divides_the_other(self, monkeypatch, path):
+        rng = random.Random(107)
+        for _ in range(30):
+            f = nonconstant(rng, terms=rng.randint(1, 3), deg=2)
+            g = f * nonconstant(rng) * Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            want = sympy_gcd(f, g)
+            assert want == f.primitive()[0]
+            assert fresh_gcd(monkeypatch, f, g) == want
+            assert fresh_gcd(monkeypatch, g, f) == want
+
+    def test_variables_only_one_operand_uses(self, monkeypatch, path):
+        rng = random.Random(108)
+        for _ in range(30):
+            c = random_poly(rng, terms=2, deg=2, over=("y", "u"))
+            if c.is_zero:
+                continue
+            f = c * nonconstant(rng, over=("x", "y", "u"))
+            g = c * nonconstant(rng, over=("y", "z", "u", "T"))
+            assert fresh_gcd(monkeypatch, f, g) == sympy_gcd(f, g)
+            assert fresh_gcd(monkeypatch, g, f) == sympy_gcd(f, g)
+
+    def test_partial_cancellation_of_a_column_division(self, monkeypatch, path):
+        reg, den, num, common = det_shape()
+        assert fresh_gcd(monkeypatch, num, den) == common == sympy_gcd(num, den)
+        rng = random.Random(109)
+        x, y, u, u1 = (reg.var(n) for n in ("x", "y", "u", "u(1)"))
+        for _ in range(10):
+            cof = sum(
+                (rng.randint(-4, 4) * m for m in (x, y * u, x * u1, u, reg.one())),
+                reg.zero(),
+            )
+            num = common * cof
+            if num.is_zero:
+                continue
+            want = sympy_gcd(num, den)
+            assert fresh_gcd(monkeypatch, num, den) == want
+            assert fresh_gcd(monkeypatch, den, num) == want
+            assert not want.is_constant
+
+    def test_neither_pair_reaches_gcdheu(self, monkeypatch):
+        calls = []
+        heu = ring._heu_gcd
+
+        def counting(reg, f, g):
+            calls.append(1)
+            return heu(reg, f, g)
+
+        monkeypatch.setattr(ring, "_heu_gcd", counting)
+        x, y, z, u = (REG.var(n) for n in ("x", "y", "z", "u"))
+        f = x + y - 2
+        assert fresh_gcd(monkeypatch, f * (x * z - u + 3) * Fraction(1, 4), 2 * f) == f
+        _, den, num, common = det_shape()
+        assert fresh_gcd(monkeypatch, num, den) == common
+        assert not calls
 
 
 class TestDivexactAgainstSympy:
