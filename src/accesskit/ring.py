@@ -86,7 +86,7 @@ def _add_terms(a, b):
 
 def _addmul_terms(acc, coeff, shift, src):
     """In-place ``acc += coeff * x^shift * src``.  Returns ``acc``.
-    Products, both exact-division loops and `_from_univar` go through it."""
+    Products and both exact-division loops go through it."""
     if not coeff:
         return acc
     for e, c in src.items():
@@ -555,19 +555,6 @@ def _split(terms, positions):
     return groups
 
 
-def _to_univar(p, i):
-    """View p as univariate in variable i: dict degree -> Polynomial."""
-    groups = _split(p.terms, (i,))
-    return {d: Polynomial(p.reg, t, _clean=True) for (d,), t in groups.items()}
-
-
-def _from_univar(reg, i, coeffs):
-    terms = {}
-    for d, c in coeffs.items():
-        _addmul_terms(terms, 1, (0,) * i + (d,) + (0,) * (reg.arity - i - 1), c.terms)
-    return Polynomial(reg, terms, _clean=True)
-
-
 def _gcd_all(polys):
     """gcd of nonzero polynomials, stopping at the first constant; a lone
     polynomial is returned as it is."""
@@ -587,33 +574,21 @@ def _content_in(p, positions):
     )
 
 
-def _univar_div_coeffs(coeffs, d):
-    return {k: divexact(c, d) for k, c in coeffs.items()}
+def _pseudo_rem(f, g, i):
+    """Pseudo-remainder of f by g in x_i: while deg_i f >= d = deg_i g, f
+    becomes lc_i(g)*f - (top_i(f)/x_i^d)*g, where top_i takes the terms of
+    largest x_i-degree, so the division is an exact exponent shift."""
+    d = g.degree_in(i)
 
+    def top(p):
+        k = p.degree_in(i)
+        t = {e[:i] + (k - d,) + e[i + 1:]: c for e, c in p.terms.items() if e[i] == k}
+        return Polynomial(p.reg, t, _clean=True)
 
-def _pseudo_rem(f, g, reg, i):
-    """Pseudo remainder of univariate views f mod g (coeffs are Polynomials)."""
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r:
-        dr = max(r)
-        if dr < dg:
-            break
-        lr = r[dr]
-        new = {}
-        for k, c in r.items():
-            if k == dr:
-                continue
-            new[k] = c * lg
-        for k, c in g.items():
-            if k == dg:
-                continue
-            t = k + dr - dg
-            sub = c * lr
-            new[t] = new.get(t, reg.zero()) - sub
-        r = {k: c for k, c in new.items() if not c.is_zero}
-    return r
+    lc = top(g)
+    while not f.is_zero and f.degree_in(i) >= d:
+        f = lc * f - top(f) * g
+    return f
 
 
 def _heu_eval(terms, i, xi):
@@ -802,11 +777,12 @@ def _smaller_operand_gcd(f, g):
 
 
 def _strip_monomial(p):
+    """(exponents of p's monomial content, all zeros if none; p over it)."""
     mins = None
     for e in p.terms:
         mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
         if not any(mins):
-            return None, p
+            return mins, p
     stripped = Polynomial(
         p.reg,
         {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()},
@@ -819,19 +795,15 @@ def _monomial_and_heu_gcd(f, g):
     reg = f.reg
     fm, f = _strip_monomial(f)
     gm, g = _strip_monomial(g)
-    common = None
-    if fm and gm:
-        common = tuple(min(a, b) for a, b in zip(fm, gm))
-    mono = reg.monomial(common) if common and any(common) else None
+    mono = reg.monomial(tuple(map(min, fm, gm)))
     fi = _int_scale(f)
     gi = _int_scale(g)
     if _coprime(fi, gi):  # a constant core shares no variable
-        return mono if mono is not None else reg.one()
+        return mono
     cand = _heu_gcd(reg, fi, gi)
     if cand is None:
         return None
-    core = Polynomial(reg, cand, _clean=True).primitive()[0]
-    return core * mono if mono is not None else core
+    return Polynomial(reg, cand, _clean=True).primitive()[0] * mono
 
 
 # The prime of the coprimality certificate.
@@ -924,27 +896,20 @@ def _int_scale(p):
 
 
 def _prs_gcd(f, g):
-    reg = f.reg
+    """gcd by the primitive remainder sequence in the last variable used
+    (Geddes, Czapor & Labahn 1992, ch. 7).  Every divisor is primitive in
+    it; a lower-degree f is its own remainder, so the loop swaps."""
     i = max(f.variables_used() | g.variables_used())
-    fu = _to_univar(f, i)
-    gu = _to_univar(g, i)
-    cf = _gcd_all(fu.values())
-    cg = _gcd_all(gu.values())
+    cf, cg = _content_in(f, (i,)), _content_in(g, (i,))
     c = poly_gcd(cf, cg)
-    fp = _univar_div_coeffs(fu, cf)
-    gp = _univar_div_coeffs(gu, cg)
-    if max(fp) < max(gp):
-        fp, gp = gp, fp
+    f, g = divexact(f, cf), divexact(g, cg)
     while True:
-        r = _pseudo_rem(fp, gp, reg, i)
-        if not r:
-            gpoly = _from_univar(reg, i, gp)
-            cont = _gcd_all(gp.values())
-            return (c * divexact(gpoly, cont)).primitive()[0]
-        if max(r) == 0:
-            return c.primitive()[0]
-        cont = _gcd_all(r.values())
-        fp, gp = gp, _univar_div_coeffs(r, cont)
+        r = _pseudo_rem(f, g, i)
+        if r.is_zero:
+            return (c * g).primitive()[0]
+        if not r.degree_in(i):
+            return c
+        f, g = g, divexact(r, _content_in(r, (i,)))
 
 
 def divexact(p, d):

@@ -95,9 +95,9 @@ def _tokenize(text, line_no):
         if c == "#":
             break
         col = i + 1
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: int() also reads other digits
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("NUMBER", text[i:j], col))
             i = j

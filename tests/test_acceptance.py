@@ -52,6 +52,7 @@ from accesskit.ring import RationalFunction
 from accesskit.sysfile import to_numeric_step
 
 from conftest import SYSTEMS
+from sympy_chain import same_ideal, sympy_chain_ideal
 from test_groebner import _random_state_poly
 from test_poly import _random_poly
 
@@ -469,42 +470,6 @@ class TestCriterion8OracleEquivalence:
         verdict(capsys, 8, checks)
 
 
-def _sympy_system(sympy, name):
-    """States, inputs, parameters and right-hand sides of a .sys file,
-    read straight from its text into sympy."""
-    decl, rhs = {}, {}
-    for line in (SYSTEMS / f"{name}.sys").read_text().splitlines():
-        line = line.split("#")[0].strip()
-        head, _, rest = line.partition(" ")
-        if head in ("states", "inputs", "params"):
-            decl[head] = sympy.symbols(rest.split())
-        elif "=" in line:
-            lhs, expr = line.split("=", 1)
-            rhs[lhs.strip().rstrip("'")] = sympy.sympify(expr)
-    return decl["states"], decl["inputs"], decl["params"], rhs
-
-
-def _sympy_chain_ideal(sympy, name, k):
-    """Ī_k by sympy alone: the input-coefficient ideals of all n x n minors
-    of the Jacobian of the j-step map in (u_0, ..., u_(j-1)), j = 1..k,
-    as a reduced grevlex basis over Q(params)."""
-    states, inputs, params, rhs = _sympy_system(sympy, name)
-    phi = [rhs[str(s)] for s in states]
-    flow, seq, coeffs = list(states), [], []
-    for t in range(k):
-        step = [sympy.Symbol(f"{u}_{t}") for u in inputs]
-        sub = dict(zip(states, flow))
-        sub.update(zip(inputs, step))
-        flow = [sympy.cancel(p.xreplace(sub)) for p in phi]
-        seq += step
-        jac = sympy.Matrix(flow).jacobian(seq)
-        for cols in itertools.combinations(range(len(seq)), len(states)):
-            num, _den = sympy.fraction(sympy.cancel(jac[:, cols].det()))
-            coeffs += sympy.Poly(num, *seq).coeffs()
-    domain = sympy.QQ.frac_field(*params)
-    return sympy.groebner(coeffs, *states, order="grevlex", domain=domain)
-
-
 class TestChainIdealsSympy:
     # coil_reversed at k = 3 is left out: sympy's groebner does not finish
     # it in minutes.
@@ -513,9 +478,6 @@ class TestChainIdealsSympy:
     )
     def test_cumulative_ideal_matches_sympy(self, name, k, request):
         sympy = pytest.importorskip("sympy")
-        expected = _sympy_chain_ideal(sympy, name, k)
+        expected = sympy_chain_ideal(sympy, (SYSTEMS / f"{name}.sys").read_text(), k)
         sys = request.getfixturevalue(name)
-        gens = [sympy.sympify(str(g)) for g in cumulative_ideal(sys, k).generators]
-        got = sympy.groebner(gens, *expected.gens, order="grevlex", domain=expected.domain)
-        assert all(expected.contains(g) for g in got.exprs)
-        assert all(got.contains(g) for g in expected.exprs)
+        assert same_ideal(sympy, expected, cumulative_ideal(sys, k).generators)

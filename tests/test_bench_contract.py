@@ -3,9 +3,9 @@
 `perfbench/layers.py` wraps `accesskit` functions by module and attribute
 path for `perfbench/run.py --trace 1`, `perfbench/worker.py` reads the
 size of `ring._GCD_CACHE`, and `perfbench/tests` checks that the wrapper
-of `poly_gcd` replaces it in `ring`, `system` and `groebner`.  The file
-is run from its source, not imported, so no bytecode is written next to
-it.
+of `poly_gcd` replaces it in `ring`, `system` and `groebner` and calls
+`ring._prs_gcd` directly.  The file is run from its source, not
+imported, so no bytecode is written next to it.
 """
 
 import importlib
@@ -26,3 +26,8 @@ def test_every_traced_name_resolves():
     assert isinstance(ring._GCD_CACHE, dict)
     for module in ("accesskit.system", "accesskit.groebner"):
         assert importlib.import_module(module).poly_gcd is ring.poly_gcd
+    # the pair `perfbench/tests/test_bench.py` hands to `_prs_gcd`
+    reg = ring.VariableRegistry(("x", "y"), ("u",))
+    x, y = reg.var("x"), reg.var("y")
+    g = (x + y + reg.one()) * (x - y * y)
+    assert ring._prs_gcd(g * (x * y + x), g * (x - y)) == g.primitive()[0]

@@ -144,6 +144,68 @@ class TestGcdAgainstSympy:
                 continue
             assert fresh_gcd(monkeypatch, f, g) == sympy_gcd(f, g)
 
+    def test_remainder_sequences_in_the_main_variable(self, monkeypatch, path):
+        # u, the last variable, is the PRS's main variable; the contents in
+        # u are free of it, so their own gcds run in other variables.
+        main = REG.index("u")
+        rems = []
+        pseudo_rem = ring._pseudo_rem
+
+        def recording(f, g, i):
+            r = pseudo_rem(f, g, i)
+            if i == main:
+                rems.append(r)
+            return r
+
+        monkeypatch.setattr(ring, "_pseudo_rem", recording)
+        x, y, z, u = (REG.var(n) for n in ("x", "y", "z", "u"))
+        h = (x + 1) * u + y
+        # divisors with leading coefficients y, 2x - 1, ... in u; ends in 0
+        f, g = h * (y * u**3 + x * u + 2), h * ((2 * x - 1) * u**2 + y * u - 3)
+        assert fresh_gcd(monkeypatch, f, g) == h == sympy_gcd(f, g)
+        if path == "prs":
+            assert len(rems) >= 3 and rems[-1].is_zero
+        # primitive parts z*u^2 + x and y*u + 1 leave z + x*y^2, free of u;
+        # the contents in u share x + y
+        rems.clear()
+        f, g = (x + y) * (z * u**2 + x), (x + y) * (x - 2) * (y * u + 1)
+        assert fresh_gcd(monkeypatch, f, g) == x + y == sympy_gcd(f, g)
+        if path == "prs":
+            assert not rems[-1].is_zero and not rems[-1].degree_in(main)
+
+
+def coil_reversed_pair():
+    """A pair GCDHEU gives up on, met by the `coil_reversed` replays in the
+    parameters T, a, b, and its gcd."""
+    reg = VariableRegistry(("z1", "z2"), ("v",), ("T", "a", "b"), 1)
+    T, a, b = (reg.var(n) for n in ("T", "a", "b"))
+    f = a**3 * (
+        -2 * T**10 * b**5 + 13 * T**9 * b**4 - 34 * T**8 * b**3
+        + 45 * T**7 * b**2 - 30 * T**6 * b + 8 * T**5
+    )
+    g = a**3 * (
+        -2 * T**10 * b**4 + 13 * T**9 * b**3 - 33 * T**8 * b**2 + 40 * T**7 * b
+        - 20 * T**6
+    )
+    return f, g, T**6 * a**3 * b - 2 * T**5 * a**3
+
+
+def test_a_pair_gcdheu_gives_up_on_reaches_the_prs(monkeypatch):
+    f, g, want = coil_reversed_pair()
+    assert ring._heu_gcd(f.reg, _int_scale(f), _int_scale(g)) is None
+    fs, gs = (ring._strip_monomial(p)[1] for p in (f, g))
+    assert ring._heu_gcd(f.reg, _int_scale(fs), _int_scale(gs)) is None
+    calls = []
+    prs = ring._prs_gcd
+
+    def counting(f, g):
+        calls.append(1)
+        return prs(f, g)
+
+    monkeypatch.setattr(ring, "_prs_gcd", counting)
+    assert fresh_gcd(monkeypatch, f, g) == want == sympy_gcd(f, g)
+    assert calls
+
 
 def det_shape():
     """A column division of `_det_rational`: a product of shifted input

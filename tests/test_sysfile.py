@@ -137,6 +137,9 @@ class TestDiagnostics:
             (3, "unrecognized", "system t\nstates x\nconst c\ninputs u\nx' = u"),
             (1, "missing `inputs`", "system t\nstates x\nx' = x"),
             (5, "expected '('", "system t\nstates x\ninputs u\nnumeric\nx' = sin x"),
+            # a number is ASCII digits: int() would read '٣' as 3
+            (4, "column 6: unexpected character '²'", "system t\nstates x\ninputs u\nx' = ²*u + x"),
+            (4, "column 6: unexpected character '٣'", "system t\nstates x\ninputs u\nx' = ٣*u + x"),
         ],
     )
     def test_declaration_errors_report_their_line(self, line, message, text):

@@ -1,13 +1,12 @@
-"""Properties of the term-map kernel: products, the exact-division test and
-the univariate round trip, which all add through `_addmul_terms`."""
+"""Properties of the term-map kernel: products and the exact-division
+test, which both add through `_addmul_terms`."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accesskit import Polynomial, VariableRegistry
-from accesskit.ring import _add_terms, _divides_int, _from_univar, _mul_terms, _to_univar
+from accesskit.ring import _add_terms, _divides_int, _mul_terms
 
 derandomized = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -63,12 +62,3 @@ def test_a_product_is_divisible_by_its_factor(case):
     unit = b in (one, {(0,) * n: -1})
     assert _divides_int(b, _add_terms(ab, one)) == unit
 
-
-@derandomized
-@given(pairs(rationals), st.data())
-def test_univariate_view_round_trip(case, data):
-    n, terms, _ = case
-    i = data.draw(st.integers(0, n - 1))
-    reg = VariableRegistry(tuple(f"x{j}" for j in range(n)))
-    p = Polynomial(reg, terms)
-    assert _from_univar(reg, i, _to_univar(p, i)).terms == p.terms
