@@ -32,6 +32,7 @@ from .system import (
     bareiss_determinant,
     build_M,
     flow_env,
+    jacobians,
     minor_determinants,
     submersivity_check,
     symbolic_rank,
@@ -41,14 +42,16 @@ from .system import (
 
 @dataclass
 class ChainState:
-    """Progress of an ideal chain: the current ideal, and the per-step
-    history as (k, reduced basis) pairs."""
+    """Progress of an ideal chain: the current ideal, the ideal at each
+    step, and the per-step history as (k, reduced basis) pairs."""
 
     ideal: Ideal | None = None
+    ideals: list = field(default_factory=list)
     history: list = field(default_factory=list)
 
     def record(self, k, ideal):
         self.ideal = ideal
+        self.ideals.append(ideal)
         self.history.append((k, tuple(ideal.groebner_basis())))
 
 
@@ -141,6 +144,22 @@ def _fast_chain_ok(sys):
     return not sys.params and all(f.is_polynomial for f in sys.phi)
 
 
+def _nested_chain(sys):
+    """The gate of the nesting lemma (see `algorithm1`), decided once per
+    model: the map is polynomial and the input-monomial coefficients of
+    det A generate <1>, parameters counting as generic nonzero constants.
+    Then det A vanishes identically in the inputs at no state."""
+    key = "nested"
+    if key not in sys._cache:
+        ok = all(f.is_polynomial for f in sys.phi)
+        if ok:
+            A = jacobians(sys)[0]
+            det = bareiss_determinant([[e.num for e in row] for row in A])
+            ok = Ideal(sys.reg, collect_by_class(det, "input").values()).contains_one()
+        sys._cache[key] = ok
+    return sys._cache[key]
+
+
 def _reduced_step_generators(sys, k, current, walk=None):
     """Generators of the step-k minor-coefficient ideal, computed with all
     intermediate data reduced modulo the chain ideal so far, and the walk
@@ -168,9 +187,9 @@ def _reduced_step_generators(sys, k, current, walk=None):
     det M_{k-1}[:, C] lie in the step-(k-1) ideal, which `current`, the
     chain through step k - 1, contains; those of the product are
     combinations of them with polynomial cofactors, so the minor reduces
-    to 0.  The rational path (`minor_determinants`) may not skip these
-    sets: cancelling against the denominator of det A<k-1> can leave a
-    numerator outside the old coefficient ideal.
+    to 0.  On a rational map the rational path (`minor_determinants`)
+    may not skip these sets: cancelling against the denominator of
+    det A<k-1> can leave a numerator outside the old coefficient ideal.
     """
     n, m = sys.n, sys.m
     # parameter-free: the basis has constant leading coefficients, so the
@@ -198,10 +217,23 @@ def _reduced_step_generators(sys, k, current, walk=None):
 def _new_step_generators(sys, k, current, walk=None):
     """The step-k generators new to the chain: their nonzero normal forms
     modulo the chain ideal so far (all of them when there is none yet), and
-    the walk record of the reduced engine (None on the rational path)."""
+    the walk record of the reduced engine (None on the rational path).
+
+    Once a chain ideal exists, a polynomial map on the rational path
+    takes generators only from the minors that touch the newest input
+    block, for the reason `_reduced_step_generators` gives: every
+    denominator is constant, so a minor inside the first block is
+    det A<k-1> times an old minor and reduces to 0."""
     if _fast_chain_ok(sys):
         return _reduced_step_generators(sys, k, current, walk)
-    gens = _step_ideal(sys, k).generators
+    if current is not None and all(f.is_polynomial for f in sys.phi):
+        first = (k - 1) * sys.m
+        dets = [d for cs, d in minor_determinants(sys, k).items() if cs[-1] >= first]
+        gens = dict.fromkeys(
+            c for d in dets for c in collect_by_class(d.num, "input").values()
+        )
+    else:
+        gens = _step_ideal(sys, k).generators
     new = gens if current is None else map(current.reduce, gens)
     return [g for g in new if not g.is_zero], None
 
@@ -266,29 +298,56 @@ def algorithm2(sys, max_k=None, mode="forward"):
     report.excluded_locus = _locus_upto(sys, min(k + 1, max_k))
     if report.kappa is not None:
         report.singular_set = _singular_description(current)
+    # left for algorithm1, which reads the chain; never read back here
+    sys._cache[("algorithm2", max_k)] = report
     return report
 
 
 def algorithm1(sys, max_k=None):
     """Real-radical chain: the first horizon where the radical of the
     per-step minor-coefficient ideal stops growing is the accessibility
-    index r*.  Returns (r_star, final ideal, certified)."""
+    index r*.  Returns (r_star, final ideal, certified).
+
+    The nesting lemma.  Suppose the map is polynomial and the
+    input-monomial coefficients of det A generate <1> (`_nested_chain`).
+    Then det A<k> is nonzero, as a polynomial in the fresh inputs u(k),
+    at every state.  Where M_k has rank n for some inputs, so has its
+    block A<k> * M_k of M_{k+1}, so every non-accessible set lies in the
+    one before: S_{k+1} is contained in S_k.  By the real
+    Nullstellensatz the per-step ideal then has the real radical of the
+    cumulative one, sqrt_R(I_{M_k}) = sqrt_R(I_bar_k), with I_bar_k the
+    chain ideal of `algorithm2`.  Under that gate the radicals are taken
+    of the ideals of `algorithm2`'s chain, read from the report it left
+    on the model (it is run when absent), and no step ideal is built;
+    once kappa is found, I_bar_{kappa+1} = I_bar_kappa supplies the last
+    comparison.  Free parameters count as generic nonzero constants, as
+    everywhere: for `coil`, det A = 1 - b*T - a*T^2*u, whose
+    coefficients are not both zero.  Other maps, rational ones included,
+    take the radical of each step ideal I_{M_k}.
+    """
     if max_k is None:
         max_k = default_max_k(sys)
     n = sys.n
-    step = _step_ideal(sys, n)
-    if step.is_zero_ideal:  # not generically accessible
-        return None, step, True
-    current, certified = radical_heuristic(step)
-    k = n
-    while k < max_k:
-        nxt, cert = radical_heuristic(_step_ideal(sys, k + 1))
+    if _nested_chain(sys):
+        report = sys._cache.get(("algorithm2", max_k)) or algorithm2(sys, max_k)
+        if report.chain is None:  # not generically accessible
+            return None, Ideal(sys.reg, []), True
+        steps, last = report.chain.ideals, report.kappa
+    else:
+        step = _step_ideal(sys, n)
+        if step.is_zero_ideal:  # not generically accessible
+            return None, step, True
+        steps = map(partial(_step_ideal, sys), range(n, max(n, max_k) + 1))
+        last = None
+    radicals = map(radical_heuristic, steps)
+    current, certified = next(radicals)
+    for k, (nxt, cert) in enumerate(radicals, n):
         certified = certified and cert
         if nxt.equal(current):
             return k, current, certified
         current = nxt
-        k += 1
-    return None, current, certified
+    # on the chain, I_bar_{kappa+1} = I_bar_kappa settles the radicals too
+    return last, current, certified
 
 
 def cumulative_ideal(sys, k):
