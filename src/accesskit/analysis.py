@@ -129,7 +129,7 @@ def _locus_upto(sys, k):
     """Excluded-locus factors of the entries and minors of M_1..M_k, in
     first-seen order.  A polynomial map has none: every entry and minor
     has a constant denominator."""
-    if all(f.is_polynomial for f in sys.phi):
+    if _polynomial_map(sys):
         return []
     dens = []
     for j in range(1, k + 1):
@@ -138,10 +138,10 @@ def _locus_upto(sys, k):
     return list(dict.fromkeys(f for f in map(_locus_factor, dens) if f is not None))
 
 
-def _fast_chain_ok(sys):
-    """The reduced-modulo-the-chain engine is exact only when normal forms
-    are plain reductions: polynomial transition map, no free parameters."""
-    return not sys.params and all(f.is_polynomial for f in sys.phi)
+def _polynomial_map(sys):
+    """Every component of the transition map is a polynomial: the chain
+    then takes the polynomial walk of `_reduced_step_generators`."""
+    return all(f.is_polynomial for f in sys.phi)
 
 
 def _nested_chain(sys):
@@ -151,7 +151,7 @@ def _nested_chain(sys):
     Then det A vanishes identically in the inputs at no state."""
     key = "nested"
     if key not in sys._cache:
-        ok = all(f.is_polynomial for f in sys.phi)
+        ok = _polynomial_map(sys)
         if ok:
             A = jacobians(sys)[0]
             det = bareiss_determinant([[e.num for e in row] for row in A])
@@ -161,25 +161,32 @@ def _nested_chain(sys):
 
 
 def _reduced_step_generators(sys, k, current, walk=None):
-    """Generators of the step-k minor-coefficient ideal, computed with all
-    intermediate data reduced modulo the chain ideal so far, and the walk
-    record WalkStep(k, env_{k-1}, A<k-1>, M_k) that the call at k + 1
-    resumes from.
+    """The step-k generators new to the chain, from the walk of a
+    polynomial map, and the walk record WalkStep(k, env_{k-1}, A<k-1>,
+    M_k) that the call at k + 1 resumes from.
 
-    Replacing generators by their normal forms leaves the cumulative ideal
-    sum unchanged, and polynomial maps preserve congruences, so reducing
-    the shifted states and matrix entries at every stage is exact for the
-    chain — while keeping expression growth flat.
+    Without parameters all intermediate data are reduced modulo the chain
+    ideal so far.  Replacing generators by their normal forms leaves the
+    cumulative ideal sum unchanged, and polynomial maps preserve
+    congruences, so reducing the shifted states and matrix entries at
+    every stage is exact for the chain — while keeping expression growth
+    flat.  With free parameters the walk runs unreduced: a leading
+    coefficient of the basis may be a parameter polynomial, which
+    `reduce(normalize=False)` does not invert, and a pseudo-remainder
+    would scale each entry by its own unit and change the minors.  The
+    coefficients of its minors are reduced once, normalized over
+    Q(params), and the zero ones dropped.
 
     The chain walks M_k once: `walk` is the record returned at k - 1
-    (None walks from the start), and `access_steps` resumes from it.  Its
-    M_{k-1} and the next state, phi at its environment, were reduced
-    modulo the previous chain ideal; both are reduced again modulo
-    `current` before the step.  The normal form modulo a Groebner basis
-    is unique, and NF_new(NF_old(p)) = NF_new(p) because the old ideal
-    lies in the new, so every entry of M_k equals the one a walk from the
-    start reduced modulo `current` gives; reducing the carried entries
-    before they are multiplied keeps the products small.
+    (None walks from the start), and `access_steps` resumes from it.  On
+    the reduced walk its M_{k-1} and the next state, phi at its
+    environment, were reduced modulo the previous chain ideal; both are
+    reduced again modulo `current` before the step.  The normal form
+    modulo a Groebner basis is unique, and NF_new(NF_old(p)) = NF_new(p)
+    because the old ideal lies in the new, so every entry of M_k equals
+    the one a walk from the start reduced modulo `current` gives;
+    reducing the carried entries before they are multiplied keeps the
+    products small.
 
     Only the column sets that touch the newest input block are ranked.  A
     set C inside the first block A<k-1> * M_{k-1} has the minor
@@ -194,7 +201,8 @@ def _reduced_step_generators(sys, k, current, walk=None):
     n, m = sys.n, sys.m
     # parameter-free: the basis has constant leading coefficients, so the
     # normal form is congruent to p and linear in the input monomials
-    red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
+    reduced = current is not None and not sys.params
+    red = partial(current.reduce, normalize=False) if reduced else (lambda p: p)
     ev = lambda f, env: red(f.num.substitute(env))
     start = walk or [sys.reg.var(s) for s in sys.reg.states]
     steps = access_steps(sys, start, partial(flow_env, sys.reg), ev, red)
@@ -211,29 +219,23 @@ def _reduced_step_generators(sys, k, current, walk=None):
         sub = [[M[i][j] for j in colset] for i in range(n)]
         det = red(bareiss_determinant(sub))
         gens.extend(collect_by_class(det, "input").values())
+    if current is not None and not reduced:
+        gens = [g for g in map(current.reduce, dict.fromkeys(gens)) if not g.is_zero]
     return gens, walk
 
 
 def _new_step_generators(sys, k, current, walk=None):
     """The step-k generators new to the chain: their nonzero normal forms
     modulo the chain ideal so far (all of them when there is none yet), and
-    the walk record of the reduced engine (None on the rational path).
+    the walk record of a polynomial map (None for a rational one).
 
-    Once a chain ideal exists, a polynomial map on the rational path
-    takes generators only from the minors that touch the newest input
-    block, for the reason `_reduced_step_generators` gives: every
-    denominator is constant, so a minor inside the first block is
-    det A<k-1> times an old minor and reduces to 0."""
-    if _fast_chain_ok(sys):
+    A polynomial map, with or without parameters, takes the walk of
+    `_reduced_step_generators`.  A rational map takes the step ideal
+    I_{M_k} of the rational engine (`minor_determinants`), every column
+    set ranked."""
+    if _polynomial_map(sys):
         return _reduced_step_generators(sys, k, current, walk)
-    if current is not None and all(f.is_polynomial for f in sys.phi):
-        first = (k - 1) * sys.m
-        dets = [d for cs, d in minor_determinants(sys, k).items() if cs[-1] >= first]
-        gens = dict.fromkeys(
-            c for d in dets for c in collect_by_class(d.num, "input").values()
-        )
-    else:
-        gens = _step_ideal(sys, k).generators
+    gens = _step_ideal(sys, k).generators
     new = gens if current is None else map(current.reduce, gens)
     return [g for g in new if not g.is_zero], None
 

@@ -20,7 +20,7 @@ from accesskit import (
     symbolic_rank,
     to_system_model,
 )
-from accesskit.analysis import _fast_chain_ok
+from accesskit.analysis import _polynomial_map
 
 
 def _model(text):
@@ -94,7 +94,7 @@ class TestGenericAccessibility:
             sys = _random_map(rng)
             want = rank_n(sys)
             assert generic_accessibility(sys) == want, sys.phi
-            seen.add((want, _fast_chain_ok(sys)))
+            seen.add((want, _polynomial_map(sys)))
         # both verdicts on both chain engines
         assert seen == {(a, b) for a in (True, False) for b in (True, False)}
 
@@ -131,10 +131,11 @@ class TestStabilizationChain:
         assert r.singular_set.points == [(Fraction(0), Fraction(0))]
 
     def test_drift_entire_space(self, drift):
-        r = algorithm2(drift)
-        assert not r.generically_accessible
-        assert r.singular_set.kind == "entire"
-        assert r.kappa is None
+        for sys in [drift] + [_model(t) for t in NOT_GA]:
+            r = algorithm2(sys)
+            assert not r.generically_accessible, sys.name
+            assert r.singular_set.kind == "entire", sys.name
+            assert r.kappa is None
 
     def test_integrator_no_singular_points(self, integrator):
         r = algorithm2(integrator)

@@ -1,7 +1,10 @@
 """r* from the kappa chain: under the gate of the nesting lemma,
 `algorithm1` takes the radicals of `algorithm2`'s chain ideals and builds
-no step ideal; a polynomial map on the rational path ranks only the minors
-that touch the newest input block."""
+no step ideal.  A polynomial map with free parameters takes the chain
+walk unreduced, ranks only the minors that touch the newest input block,
+and never enters the rational engine (`build_M`, `minor_determinants`);
+its chain is checked against `cumulative_ideal`, which sums the
+unreduced step ideals of that engine."""
 
 from fractions import Fraction
 
@@ -63,15 +66,14 @@ def _outcome(result):
     return r_star, certified, [(g.reg.key, g.terms) for g in final.groebner_basis()]
 
 
-def _count_step_ideals(monkeypatch):
-    calls = []
-    step = analysis._step_ideal
-
-    def counted(sys, k):
-        calls.append(k)
-        return step(sys, k)
-
-    monkeypatch.setattr(analysis, "_step_ideal", counted)
+def _count_rational_engine(monkeypatch):
+    """Record the horizon of every call that `analysis` makes to the
+    rational engine's step ideal, accessibility matrix and minors."""
+    calls = {}
+    for name in ("_step_ideal", "build_M", "minor_determinants"):
+        log, f = calls.setdefault(name, []), getattr(analysis, name)
+        counted = lambda sys, k, log=log, f=f: log.append(k) or f(sys, k)
+        monkeypatch.setattr(analysis, name, counted)
     return calls
 
 
@@ -93,23 +95,27 @@ class TestGate:
             load_model("rational2d"),  # rational
             load_model("drift"),  # det A = 0
             _model("system square\nstates x\ninputs u\nx' = x^2 + u\n"),  # 2*x
+            _model(  # 2*a*x
+                "system square\nparams a\nstates x\ninputs u\nx' = a*x^2 + u\n"
+            ),
         ]
         assert all(map(_nested_chain, passing))
         assert not any(map(_nested_chain, failing))
 
     def test_no_step_ideal_on_a_gated_model(self, monkeypatch):
         coil, fivestep = load_model("coil"), load_model("fivestep")
+        calls = _count_rational_engine(monkeypatch)
+        # free-parameter coil walks its chain in the polynomial ring
         report = algorithm2(coil)
-        calls = _count_step_ideals(monkeypatch)
         assert algorithm1(coil)[0] == 3
         # fivestep runs algorithm2 itself, on the reduced engine
         assert algorithm1(fivestep)[0] == 6
-        assert calls == []
+        assert calls == {"_step_ideal": [], "build_M": [], "minor_determinants": []}
         # the chain is read from the report algorithm2 left on the model
         assert coil._cache[("algorithm2", analysis.default_max_k(coil))] is report
 
     def test_step_ideals_off_the_gate(self, monkeypatch):
-        calls = _count_step_ideals(monkeypatch)
+        calls = _count_rational_engine(monkeypatch)["_step_ideal"]
         assert algorithm1(load_model("coil_reversed"))[0] == 3
         assert calls
         calls.clear()
@@ -185,23 +191,46 @@ class TestFivestepByHand:
             assert point_status(fivestep, x(0, 0), k).in_S_k, k
 
 
+SHIFT2_FREE_C = (
+    "system shift2\nparams c\nstates x1 x2\ninputs u\n"
+    "x1' = x2\nx2' = -x1 + u*(x2^2 - c*x2)\n"
+)
+SHIFT3_FREE_A = (
+    "system shift3\nparams a\nstates x1 x2 x3\ninputs u\n"
+    "x1' = x2\nx2' = x3\nx3' = a*x1 + u*x3\n"
+)
+
+
 class TestNewestBlockOnly:
-    """Stage 1 on coil with free parameters: ranking only the minors that
-    touch the newest input block leaves every chain ideal as the sum of the
-    full step ideals."""
+    """The unreduced walk of polynomial maps with free parameters: ranking
+    only the minors that touch the newest input block, and reducing their
+    coefficients once at the end, leaves every chain ideal as the sum of
+    the full step ideals."""
+
+    # (model, max_k, kappa): max_k None is the default budget; on shift2
+    # with free c the budget of 4 runs out before the chain stabilizes
+    CASES = [
+        (lambda: load_model("coil"), None, 3),
+        (lambda: _coil(2, Fraction(-1, 3), 3), None, 3),
+        (lambda: _model(SHIFT3_FREE_A), None, 5),
+        (lambda: _model(SHIFT2_FREE_C), 4, None),
+    ]
 
     def test_chain_equals_cumulative_ideal(self):
-        for sys in (load_model("coil"), _coil(2, Fraction(-1, 3), 3)):
-            report = algorithm2(sys)
-            assert report.kappa == 3
+        for make, max_k, kappa in self.CASES:
+            sys = make()
+            report = algorithm2(sys, max_k)
+            assert report.kappa == kappa, sys.name
+            assert report.budget_exhausted == (kappa is None), sys.name
             for k, basis in report.chain.history:
-                assert Ideal(sys.reg, list(basis)).equal(cumulative_ideal(sys, k)), k
+                ideal = Ideal(sys.reg, list(basis))
+                assert ideal.equal(cumulative_ideal(sys, k)), (sys.name, k)
 
     def test_first_block_minors_are_skipped(self, monkeypatch):
         coil = load_model("coil")
         gens, _walk = analysis._new_step_generators(coil, 2, None)
         current = Ideal(coil.reg, gens)
-        steps = _count_step_ideals(monkeypatch)
+        steps = _count_rational_engine(monkeypatch)["_step_ideal"]
         ranked = []
         collect = analysis.collect_by_class
         monkeypatch.setattr(
