@@ -353,7 +353,9 @@ def algorithm1(sys, max_k=None):
 
 
 def cumulative_ideal(sys, k):
-    """Sum of the minor-coefficient ideals up to horizon k."""
+    """Sum of the unreduced step ideals up to horizon k, the tests' reference
+    for the chain of `algorithm2`.  It builds every minor of M_1..M_k: on
+    `fivestep`, k = 5 does not finish in 45 s."""
     total = None
     for j in range(1, k + 1):
         step = _step_ideal(sys, j)

@@ -10,7 +10,6 @@ parameters.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -37,10 +36,6 @@ from .ring import (
 # pairs or normal-form steps one computation may take.
 _DEGREE_CAP = 64
 _STEP_CAP = 20000
-
-# The sign-change witness of `radical_heuristic`: seeded draws, and how many.
-_WITNESS_SEED = 0x5EED
-_WITNESS_TRIES = 400
 
 
 def _shift_tuple(reg, proj):
@@ -402,19 +397,14 @@ class Ideal:
 # -- heuristic real-radical reduction -------------------------------------
 
 
-def _sos_split(g):
-    """If g is a sum of even monomials with positive coefficients, return the
-    monomial radicals forced to vanish on the real zero set; else None."""
-    reg = g.reg
-    monos = []
-    for e, c in g.terms.items():
-        if c <= 0 or any(x % 2 for x in e):
-            return None
-        support = tuple(1 if x else 0 for x in e)
-        if not any(support):
-            return None  # positive constant term: no real zeros forced
-        monos.append(support)
-    return [reg.monomial(s) for s in dict.fromkeys(monos)]
+def _even_supports(g):
+    """If g is a sum of even monomials whose coefficients share one sign, the
+    supports of its monomials (g vanishes where they all do); else None."""
+    if len({c > 0 for c in g.terms.values()}) > 1 or any(
+        x % 2 for e in g.terms for x in e
+    ):
+        return None
+    return [tuple(1 if x else 0 for x in e) for e in g.terms]
 
 
 def _is_monomial_set(gens):
@@ -429,22 +419,31 @@ def _radical_of_monomials(gens):
     return out
 
 
-def _sign_change_witness(q):
-    """Look for rational points where q is positive and where it is negative."""
-    reg = q.reg
-    rng = random.Random(_WITNESS_SEED)
-    names = [reg.name(i) for i in q.variables_used()]
-    seen_pos = seen_neg = False
-    for _ in range(_WITNESS_TRIES):
-        point = {
-            n: Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for n in names
-        }
-        v = q.evaluate(point)
-        seen_pos = seen_pos or v > 0
-        seen_neg = seen_neg or v < 0
-        if seen_pos and seen_neg:
-            return True
-    return False
+def _real_pieces(q):
+    """The pieces of the real radical of <q>, q parameter-free, or None.
+
+    q splits by its content in each state, recursively.  A piece of degree 1
+    in some state is primitive there, so irreducible (Gauss), and changes
+    sign; a one-state piece may have only real roots: both are kept.  A piece
+    with no real zero is dropped.  Any other piece gives None."""
+    used = sorted(q.variables_used())
+    for i in used:
+        c = _content_in(q, (i,))
+        if not c.is_constant:
+            a, b = _real_pieces(c), _real_pieces(divexact(q, c))
+            return None if a is None or b is None else a + b
+    if any(q.degree_in(i) == 1 for i in used):
+        return [q]
+    if len(used) == 1:
+        n = len(real_roots(_coefficients(q, used[0])))
+        if n == q.degree_in(used[0]):
+            return [q]
+        if n == 0:
+            return []
+    monos = _even_supports(q)
+    if monos and not all(map(any, monos)):
+        return []  # a constant term: q is definite
+    return None
 
 
 def radical_heuristic(ideal):
@@ -452,18 +451,18 @@ def radical_heuristic(ideal):
 
     Returns (Ideal, certified).  The output J always satisfies
     I <= J <= real-radical(I); `certified` reports whether the pipeline
-    established J = real-radical(I).  Sound certification paths: trivial
-    ideal, monomial ideals, linear bases, and zero-dimensional ideals with
-    rational real points (vanishing ideal reconstruction).  The principal
-    square-free case is certified on witness evidence (sign changes plus a
-    finite singular locus).
+    established J = real-radical(I).  Sound certification paths: monomial
+    ideals (after splitting even sums of squares), linear bases,
+    zero-dimensional ideals with rational real points (vanishing ideal
+    reconstruction), and parameter-free principal ideals whose generator
+    splits by content into pieces that change sign or have no real zero.
     """
     reg = ideal.reg
     new_gens = []
     for g in ideal.groebner_basis():
-        split = _sos_split(g)
-        if split is not None:
-            new_gens.extend(split)
+        monos = _even_supports(g)
+        if monos and all(map(any, monos)):  # no constant term
+            new_gens.extend(map(reg.monomial, monos))
             continue
         new_gens.append(square_free_part(g))
 
@@ -484,17 +483,14 @@ def radical_heuristic(ideal):
     sol = solve_zero_dim(J)
     if sol.status == "points":
         return vanishing_ideal(reg, sol.points), True
-    # principal square-free hypersurface: witness-based certification
+    # principal: the generator divides square-free ones, so it is square-free
     if len(gb) == 1 and not J.uses_parameters():
-        q = gb[0]
-        if square_free_part(q) == q.primitive()[0]:
-            sing = Ideal(
-                reg,
-                [q] + [q.diff(reg.name(i)) for i in sorted(q.variables_used())],
-            )
-            finite_sing = sing.contains_one() or sing.is_zero_dimensional()
-            if finite_sing and _sign_change_witness(q):
-                return J, True
+        kept = _real_pieces(gb[0])
+        if kept is not None:
+            r = prod(kept, start=reg.one())
+            if r.total_degree() == gb[0].total_degree():
+                return J, True  # nothing dropped: r is J's generator
+            return Ideal(reg, [r]), True
     return J, False
 
 

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accesskit import (
     Ideal,
@@ -31,6 +34,12 @@ from conftest import load_model
 @pytest.fixture(scope="module")
 def reg():
     return VariableRegistry(("x1", "x2"), ("u",), ("T",), 1)
+
+
+def _plain(names):
+    """The states of a parameter-free registry without inputs."""
+    reg = VariableRegistry(tuple(names))
+    return reg, *(reg.var(n) for n in names)
 
 
 class TestGroebnerBasis:
@@ -117,6 +126,15 @@ class TestBasisComputedOnce:
         gb = R.groebner_basis()
         assert keys == []
         assert gb == buchberger(list(R.generators)) == [x2, x1]
+
+    def test_principal_radical_takes_two_bases(self, monkeypatch):
+        # the ideal's basis and the square-free ideal's; no other ideal
+        reg, x, y = _plain("xy")
+        p = y * (x + y)
+        keys = _count_buchberger(monkeypatch)
+        J, certified = radical_heuristic(Ideal(reg, [p * p]))
+        assert len(keys) == 2
+        assert certified and J.equal(Ideal(reg, [p]))
 
 
 def _random_state_poly(reg, rng, deg=2):
@@ -293,6 +311,109 @@ class TestRadicalHeuristic:
                 in_I = all(p.evaluate(pt) == 0 for p in I.generators)
                 in_J = all(p.evaluate(pt) == 0 for p in J.generators)
                 assert in_I == in_J
+
+    def test_definite_factor_is_dropped(self):
+        reg, x, y = _plain("xy")
+        J, cert = radical_heuristic(Ideal(reg, [x * (x * x + y * y + reg.one())]))
+        assert cert
+        assert J.equal(Ideal(reg, [x]))
+
+    def test_factor_with_one_real_point_is_uncertified(self):
+        # the real zeros are the line x = 1 and the origin: not principal
+        reg, x, y = _plain("xy")
+        _J, cert = radical_heuristic(Ideal(reg, [(x * x + y * y) * (x - reg.one())]))
+        assert not cert
+
+    def test_sign_changing_quadric_is_uncertified(self):
+        reg, x, y = _plain("xy")
+        r2 = x * x + y * y
+        q = (r2 - reg.const(3)) * (r2 + reg.one())
+        _J, cert = radical_heuristic(Ideal(reg, [q]))
+        assert not cert
+
+    def test_linear_pieces_in_three_states(self):
+        # y and 2x - 2z - 1: the singular locus of their product is a line
+        reg, x, y, z = _plain("xyz")
+        I = Ideal(reg, [y * (2 * x - 2 * z - reg.one())])
+        J, cert = radical_heuristic(I)
+        assert cert
+        assert J.equal(I)
+
+    @pytest.mark.parametrize("shape", ["circle", "cross"])
+    def test_pieces_that_need_a_factoriser_are_uncertified(self, shape):
+        # x^2 + y^2 - 1 is irreducible and x^2 - y^2 splits into linear
+        # forms in both states: no content split reaches either
+        reg, x, y = _plain("xy")
+        q = x * x + y * y - reg.one() if shape == "circle" else x * x - y * y
+        J, cert = radical_heuristic(Ideal(reg, [q]))
+        assert not cert
+        assert J.equal(Ideal(reg, [q]))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_principal_radical_against_sympy(self, data):
+        """Products of linear forms and x_i^2 - a, neither vanishing at the
+        origin, and x_i^2 + x_j^2 + c (c >= 0), refereed by sympy's
+        `factor_list`: a certified principal radical is the product of the
+        factors that change sign.  A factor x_i^2 + x_j^2 next to one that
+        changes sign leaves a real zero set that no principal ideal has."""
+        sympy = pytest.importorskip("sympy")
+        names = data.draw(st.sampled_from(("xy", "xyz")))
+        reg, *xs = _plain(names)
+        syms = sympy.symbols(list(names))
+        n = len(names)
+        q, sq, lone_points = reg.one(), sympy.Integer(1), []
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(("linear", "square", "circle")))
+            if kind == "linear":
+                cs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+                lead = data.draw(st.integers(0, n - 1))
+                cs[lead] = data.draw(st.sampled_from((-1, 1)))
+                c0 = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+                f = sum((c * v for c, v in zip(cs, xs)), reg.const(c0))
+                sf = c0 + sum(c * v for c, v in zip(cs, syms))
+            elif kind == "square":
+                i = data.draw(st.integers(0, n - 1))
+                a = data.draw(st.integers(-4, 9).filter(bool))
+                f, sf = xs[i] * xs[i] - reg.const(a), syms[i] ** 2 - a
+            else:
+                pairs = [(i, j) for i in range(n) for j in range(i)]
+                i, j = data.draw(st.sampled_from(pairs))
+                c = data.draw(st.integers(0, 3))
+                f = xs[i] * xs[i] + xs[j] * xs[j] + reg.const(c)
+                sf = syms[i] ** 2 + syms[j] ** 2 + c
+                if c == 0:
+                    lone_points.append({i, j})  # real zeros: x_i = x_j = 0
+            q, sq = q * f, sq * sf
+        J, cert = radical_heuristic(Ideal(reg, [q]))
+
+        def changes_sign(g):
+            # for these families a sign change shows on the grid {-4, 0, 4}^n
+            terms = sympy.Poly(g, *syms).terms()
+            values = {
+                sum(int(c) * prod(v**k for v, k in zip(pt, e)) for e, c in terms)
+                for pt in product((-4, 0, 4), repeat=n)
+            }
+            return min(values) < 0 < max(values)
+
+        _, factors = sympy.factor_list(sympy.expand(sq), *syms)
+        changers = [g for g, _ in factors if changes_sign(g)]
+        if lone_points and changers:
+            assert not cert
+        if not cert:
+            return
+        gb = J.groebner_basis()
+        if lone_points:
+            # a definite product: the sum-of-squares split, a monomial radical
+            # with one state from each pair x_i = x_j = 0
+            want = {frozenset(c) for c in product(*lone_points)}
+            want = {m for m in want if not any(o < m for o in want)}
+            assert {frozenset(g.variables_used()) for g in gb} == want
+            assert all(len(g.terms) == 1 for g in gb)
+            return
+        assert len(gb) == 1
+        got = sympy.Poly.from_dict(gb[0].terms, *syms)
+        assert got.monic() == sympy.Poly(sympy.Mul(*changers), *syms).monic()
 
 
 class TestSolveZeroDim:
