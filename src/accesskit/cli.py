@@ -72,18 +72,18 @@ def _parse_binds(items):
                 continue
             name, _, value = piece.partition("=")
             if not _:
-                raise ParseError(f"expected NAME=VALUE in --bind {piece!r}", 0, 0)
+                raise AccessKitError(f"expected NAME=VALUE in --bind {piece!r}")
             out[name.strip()] = _rational(value, "--bind")
     return out
 
 
 def _rational(text, flag):
-    """One rational given to flag; a malformed one is a ParseError."""
+    """One rational given to flag; a malformed one is an AccessKitError."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         message = f"{flag} needs rationals; {text!r} is not one"
-        raise ParseError(message, 0, 0) from None
+        raise AccessKitError(message) from None
 
 
 def _rat(x):
@@ -160,7 +160,7 @@ def _rationals(text, n, flag):
     """The n comma-separated rationals given to flag, as a tuple."""
     parts = [p for p in text.split(",") if p]
     if len(parts) != n:
-        raise ParseError(f"{flag} needs {n} comma-separated rationals", 0, 0)
+        raise AccessKitError(f"{flag} needs {n} comma-separated rationals")
     return tuple(_rational(p, flag) for p in parts)
 
 

@@ -10,8 +10,11 @@ Grammar (one declaration per line, `#` starts a comment):
     <state>' = <expression>
 
 Expressions use + - * / ^ with integer and rational literals and
-parentheses; `^` takes an integer exponent.  Every declared state needs
-exactly one update line.  All diagnostics carry line and column.
+parentheses; `^` takes an integer exponent.  `^` binds tightest and
+associates right, then unary minus, then `* /`, then `+ -`; the binary
+operators `+ - * /` associate left, so `2*-x^2` is `2*(-(x^2))`, as in
+Python.  Every declared state needs exactly one update line.  All
+diagnostics carry line and column.
 
 One evaluator, `_evaluate`, folds an expression tree in any arithmetic
 that supports Python's operators: `to_system_model` runs it over exact
@@ -73,6 +76,11 @@ class Call:
     arg: object
 
 
+# how tightly each operator binds, unary minus under its node type; the
+# parser and the printer both read it
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, Neg: 3, "^": 4}
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -117,8 +125,7 @@ def _tokenize(text, line_no):
 
 
 class _ExprParser:
-    """Recursive descent over + - * / ^ with standard precedence;
-    ^ binds tightest and associates right."""
+    """Precedence climbing over the operators of `_PREC`."""
 
     def __init__(self, toks, line_no, numeric):
         self.toks = toks
@@ -139,41 +146,33 @@ class _ExprParser:
         raise ParseError(msg, self.line, tok.column)
 
     def parse(self):
-        e = self.sum()
+        e = self.expr(1)
         if self.peek().kind != "END":
             self.fail(f"unexpected {self.peek().text!r} after expression")
         return e
 
-    def sum(self):
+    def expr(self, least):
+        """An operand, then every binary operator that binds at least
+        `least`; a binary operator parses its right operand one level up
+        (left associative), `^` at its own level (right associative)."""
         if self.peek().text == "-":
             self.take()
-            node = Neg(self.product())
+            node = Neg(self.expr(_PREC[Neg]))
         else:
-            node = self.product()
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
-            rhs = self.product()
-            node = BinOp(op, node, rhs)
+            node = self.atom()
+        while _PREC.get(self.peek().text, 0) >= least:
+            op = self.take()
+            prec = _PREC[op.text]
+            if op.text != "^":
+                right = self.expr(prec + 1)
+            elif self.peek().text == "-":
+                self.fail("exponent must be a nonnegative integer", op)
+            else:
+                right = self.expr(prec)
+                if not isinstance(right, Num) or right.value.denominator != 1:
+                    self.fail("exponent must be an integer literal", op)
+            node = BinOp(op.text, node, right)
         return node
-
-    def product(self):
-        node = self.power()
-        while self.peek().text in ("*", "/"):
-            op = self.take().text
-            node = BinOp(op, node, self.power())
-        return node
-
-    def power(self):
-        base = self.atom()
-        if self.peek().text == "^":
-            tok = self.take()
-            if self.peek().text == "-":
-                self.fail("exponent must be a nonnegative integer", tok)
-            exp = self.power()  # right associative
-            if not isinstance(exp, Num) or exp.value.denominator != 1:
-                self.fail("exponent must be an integer literal", tok)
-            return BinOp("^", base, exp)
-        return base
 
     def atom(self):
         tok = self.take()
@@ -187,7 +186,7 @@ class _ExprParser:
                     )
                 if self.take().text != "(":
                     self.fail(f"expected '(' after {tok.text!r}", tok)
-                arg = self.sum()
+                arg = self.expr(1)
                 if self.take().text != ")":
                     self.fail("expected ')'", tok)
                 return Call(tok.text, arg)
@@ -197,13 +196,11 @@ class _ExprParser:
                 return Var("pi")
             return Var(tok.text)
         if tok.text == "(":
-            e = self.sum()
+            e = self.expr(1)
             close = self.take()
             if close.text != ")":
                 self.fail("expected ')'", close)
             return e
-        if tok.text == "-":
-            return Neg(self.atom())
         self.fail(f"unexpected {tok.text or 'end of line'!r}", tok)
 
 
@@ -399,10 +396,10 @@ def to_numeric_step(spec, params=None):
 # ---------------------------------------------------------------------------
 # Pretty printer (canonical form; parse . pretty . parse == parse)
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
-
-def _fmt(node, parent_prec=0, right_side=False):
+def _fmt(node, least=1):
+    """Text for node in a slot that takes operators binding at least
+    `least`; a node that binds less tightly is parenthesized."""
     if isinstance(node, Num):
         return str(node.value)
     if isinstance(node, Var):
@@ -410,17 +407,15 @@ def _fmt(node, parent_prec=0, right_side=False):
     if isinstance(node, Call):
         return f"{node.func}({_fmt(node.arg)})"
     if isinstance(node, Neg):
-        inner = _fmt(node.operand, 2)
-        s = f"-{inner}"
-        return f"({s})" if parent_prec >= 2 or right_side else s
-    prec = _PREC[node.op]
-    left = _fmt(node.left, prec, False)
-    # - / ^ are not associative: parenthesize equal precedence on the right
-    right = _fmt(node.right, prec, node.op in ("-", "/", "^"))
-    s = f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
-    if prec < parent_prec or (prec == parent_prec and right_side):
-        return f"({s})"
-    return s
+        prec = _PREC[Neg]
+        s = f"-{_fmt(node.operand, prec)}"
+    elif node.op == "^":
+        prec = _PREC["^"]
+        s = f"{_fmt(node.left, prec + 1)}^{_fmt(node.right, prec)}"
+    else:
+        prec = _PREC[node.op]
+        s = f"{_fmt(node.left, prec)} {node.op} {_fmt(node.right, prec + 1)}"
+    return f"({s})" if prec < least else s
 
 
 def pretty(spec):

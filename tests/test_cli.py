@@ -307,10 +307,11 @@ class TestErrors:
             ["index", "{tmp}/nonexist.sys"],
             ["index", "{tmp}"],
             ["check", path("coil"), "--bind", "T=1/0"],
+            ["check", path("coil"), "--bind", "nonsense"],
             ["point", path("coil"), "--x", "1/0,1", "--k", "1"],
             ["simulate", path("fivestep"), "--x", "0,1", "--u", "1/0"],
         ],
-        ids=["missing-file", "directory", "bind", "point", "inputs"],
+        ids=["missing-file", "directory", "bind", "bind-shape", "point", "inputs"],
     )
     def test_unreadable_file_or_rational_exits_2(self, argv, tmp_path, capsys):
         code = main([a.format(tmp=tmp_path) for a in argv])
@@ -318,6 +319,8 @@ class TestErrors:
         assert code == EXIT_PARSE
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+        # an argument has no line in any file
+        assert "line 0" not in captured.err
 
     def test_meaningless_tolerance_threshold_or_grid_is_a_usage_error(self, capsys):
         rank = ["rank", path("fivestep"), "--x", "0,1", "--k", "2"]

@@ -146,6 +146,21 @@ class TestAgreesWithTheStepIdeals:
             assert _outcome(got) == _outcome(_reference_index(reference, max_k))
 
 
+    def test_not_generically_accessible(self, monkeypatch):
+        # det A = 1, so the map passes the gate; both states take the same
+        # input, so every M_k has rank 1
+        text = "system twin\nstates x1 x2\ninputs u\nx1' = x1 + u\nx2' = x2 + u\n"
+        twin = _model(text)
+        assert _nested_chain(twin)
+        steps = _count_rational_engine(monkeypatch)["_step_ideal"]
+        got = algorithm1(twin)
+        assert steps == []
+        r_star, final, certified = got
+        assert (r_star, final.is_zero_ideal, certified) == (None, True, True)
+        max_k = analysis.default_max_k(twin)
+        assert _outcome(got) == _outcome(_reference_index(_model(text), max_k))
+
+
 class TestFivestepByHand:
     """r* = 6 on fivestep, derived from systems/fivestep.sys.
 

@@ -5,11 +5,17 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accesskit import AccessKitError
 from accesskit.sysfile import (
+    BinOp,
+    Neg,
     Num,
     ParseError,
+    SystemSpecFile,
+    Var,
     _evaluate,
     parse_system,
     pretty,
@@ -24,21 +30,52 @@ def read(name):
 
 
 def random_expression(rng, depth):
-    """Expression text in x and u over + - * / ^ and small literals."""
+    """Expression text in x and u over + - * / ^ and small literals.  A
+    sign may precede any operand, an operand is parenthesized or not, and
+    a power may be the base of another power."""
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice(["x", "u", str(rng.randint(0, 5)), "1/3", "(x - 1)"])
-    if rng.random() < 0.15:
-        return f"({random_expression(rng, depth - 1)})^{rng.randint(0, 3)}"
-    left, right = (random_expression(rng, depth - 1) for _ in "lr")
-    sign = "-" if rng.random() < 0.1 else ""
-    return f"{sign}({left}) {rng.choice('+-*/')} ({right})"
+        text = rng.choice(["x", "u", str(rng.randint(0, 5)), "1/3", "(x - 1)"])
+    elif rng.random() < 0.15:
+        text = f"({random_expression(rng, depth - 1)})^{rng.randint(0, 3)}"
+    else:
+        left, right = (random_expression(rng, depth - 1) for _ in "lr")
+        text = f"{left} {rng.choice('+-*/')} {right}"
+    if rng.random() < 0.3:
+        text = f"({text})"
+    return f"-{text}" if rng.random() < 0.15 else text
 
+
+# expression texts shared by the evaluation and round-trip tests
+RANDOM_TEXTS = [random_expression(random.Random(0x5F11E + i), 4) for i in range(300)]
+
+
+def random_spec(text):
+    return parse_system(f"system r\nstates x\ninputs u\nx' = {text}\n")
 
 
 def reference_value(text, point):
     """Python's own evaluation of an expression text, in Fractions."""
     code = re.sub(r"\d+", r"F(\g<0>)", text).replace("^", "**")
     return eval(code, {"F": Fraction, **point})
+
+
+def expression_trees():
+    """Trees of Num, Var, Neg and BinOp with integer-literal exponents; a
+    Neg or a power may be the base of a power."""
+    leaves = st.one_of(
+        st.integers(0, 9).map(lambda n: Num(Fraction(n))),
+        st.sampled_from(["x", "u"]).map(Var),
+    )
+
+    def extend(children):
+        exponents = st.integers(0, 3).map(lambda n: Num(Fraction(n)))
+        return st.one_of(
+            children.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(BinOp, st.just("^"), children, exponents),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
 
 
 ALL_NAMES = [p.stem for p in sorted(SYSTEMS.glob("*.sys"))]
@@ -79,6 +116,11 @@ class TestParsing:
         step = to_numeric_step(spec)
         # -x^2 is -(x^2), not (-x)^2
         assert step(3.0, 0.0) == pytest.approx(-9.0)
+
+    def test_unary_minus_after_an_operator_binds_below_power(self):
+        # 2*-x^2 is 2*(-(x^2)), as in Python, not 2*(-x)^2
+        spec = parse_system("system t\nstates x\ninputs u\nx' = 2*-x^2 + u\n")
+        assert str(to_system_model(spec).phi[0]) == "-2*x^2 + u"
 
     def test_division_left_associative(self):
         spec = parse_system("system t\nstates x\ninputs u\nx' = 8/4/2 + 0*x + 0*u\n")
@@ -159,6 +201,27 @@ class TestRoundTrip:
         spec = parse_system(read(name))
         assert parse_system(pretty(spec)) == spec
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_pretty_is_a_fixed_point(self, name):
+        text = pretty(parse_system(read(name)))
+        assert pretty(parse_system(text)) == text
+
+    def test_random_texts_round_trip(self):
+        for text in RANDOM_TEXTS:
+            spec = random_spec(text)
+            assert parse_system(pretty(spec)) == spec, text
+
+    def test_power_of_a_power_round_trips(self):
+        spec = random_spec("(x^3)^2 + u")
+        assert pretty(spec).endswith("x' = (x^3)^2 + u\n")
+        assert parse_system(pretty(spec)) == spec
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(expression_trees())
+    def test_every_tree_round_trips(self, tree):
+        spec = SystemSpecFile("t", (), ("x",), ("u",), {"x": tree})
+        assert parse_system(pretty(spec)) == spec
+
     def test_pretty_is_canonical(self):
         spec = parse_system("system t\nstates x\ninputs u\nx' = (x + u)*x\n")
         again = parse_system(pretty(spec))
@@ -217,9 +280,8 @@ class TestConversions:
         # the float step agrees to rounding
         rng = random.Random(0x5F11E)
         checked = 0
-        for _ in range(300):
-            text = random_expression(rng, 4)
-            spec = parse_system(f"system r\nstates x\ninputs u\nx' = {text}\n")
+        for text in RANDOM_TEXTS:
+            spec = random_spec(text)
             ast = spec.updates["x"]
             try:
                 phi = to_system_model(spec).phi[0]
