@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import prod
 from operator import add
 
 from .errors import ResourceBudgetError, VerificationError
-from .realroots import RootBox, _gcd, real_roots
+from .realroots import RootBox, real_roots
 from .ring import (
     Polynomial,
     VariableRegistry,
     _addmul_terms,
     _content_in,
+    _gcd_all,
     _mul_terms,
     _scale_terms,
     _split,
@@ -435,7 +435,7 @@ def _real_pieces(q):
     if any(q.degree_in(i) == 1 for i in used):
         return [q]
     if len(used) == 1:
-        n = len(real_roots(_coefficients(q, used[0])))
+        n = len(real_roots(q))
         if n == q.degree_in(used[0]):
             return [q]
         if n == 0:
@@ -577,7 +577,7 @@ def solve_zero_dim(ideal):
         if not univ:
             return None
         # the common roots of the univariate polynomials: those of their gcd
-        roots = real_roots(reduce(_gcd, (_coefficients(g, li) for g in univ)))
+        roots = real_roots(_gcd_all(univ))
         irrational = [(last, r) for r in roots if isinstance(r, RootBox)]
         if irrational:
             boxes.extend(irrational)
@@ -613,12 +613,4 @@ def solve_zero_dim(ideal):
                     f"solved point {pt} is not a zero of generator {g}"
                 )
     return SolveResult("points", points=points)
-
-
-def _coefficients(g, idx):
-    """Coefficient list, constant term first, of g univariate in variable idx."""
-    coeffs = [Fraction(0)] * (g.degree_in(idx) + 1)
-    for e, c in g.terms.items():
-        coeffs[e[idx]] += c
-    return coeffs
 

@@ -1,6 +1,9 @@
-"""Exact real-root finding for univariate polynomials with rational coefficients.
+"""Exact real-root isolation for univariate polynomials with rational coefficients.
 
-One path finds every root: Sturm bisection isolates the real roots of the
+All polynomial arithmetic is `ring.py`'s: the square-free part is
+`square_free_part`'s, the Sturm sequence is a primitive pseudo-remainder
+sequence computed in the ring, and a rational root met on the way is divided
+out with `divexact`.  Sturm bisection then isolates the real roots of the
 square-free part, and each isolating interval is narrowed until at most one
 rational that could be a root is left in it.  Rational roots come out as
 exact Fractions, irrational ones as RootBox intervals no wider than 2^-48.
@@ -8,11 +11,10 @@ exact Fractions, irrational ones as RootBox intervals no wider than 2^-48.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationError
+from .ring import _pseudo_rem, divexact, square_free_part
 
 # Width below which an irrational root's isolating interval is reported.
 _BOX_WIDTH = Fraction(1, 2**48)
@@ -29,9 +31,11 @@ class RootBox:
         return (self.lo + self.hi) / 2
 
 
-def _strip(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+def _coeffs(p, i):
+    """Coefficient list of p, univariate in x_i, from the constant term up."""
+    coeffs = [Fraction(0)] * (p.degree_in(i) + 1)
+    for e, c in p.terms.items():
+        coeffs[e[i]] = Fraction(c)
     return coeffs
 
 
@@ -42,39 +46,21 @@ def _eval(coeffs, x):
     return acc
 
 
-def _deriv(coeffs):
-    return [c * i for i, c in enumerate(coeffs)][1:]
+def _sturm_chain(p, i):
+    """Coefficient lists of the Sturm sequence of a square-free p in x_i.
 
-
-def _divmod(a, b):
-    """Quotient and remainder of a / b over the rationals (coefficient lists)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while _strip(a) and len(a) - 1 >= db:
-        da = len(a) - 1
-        c = a[-1] / lb
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] -= c * b[i]
-    return q, a
-
-
-def _gcd(a, b):
-    a, b = list(a), list(b)
-    while _strip(b):
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
-def _sturm_chain(coeffs):
-    chain = [list(coeffs), _deriv(coeffs)]
-    while _strip(chain[-1]):
-        r = [-c for c in _divmod(chain[-2], chain[-1])[1]]
-        if not _strip(r):
-            break
-        chain.append(r)
-    return chain
+    Each element after p and p' is -prem(p_(j-1), p_j) over its positive
+    content.  The divisor's leading coefficient is made positive first
+    (rem(f, -g) = rem(f, g)), so each pseudo-remainder is a positive
+    multiple of the true remainder and every Sturm count stays exact.  As
+    p is square-free, the sequence ends in a nonzero constant.
+    """
+    seq = [p, p.diff(p.reg.name(i))]
+    while not seq[-1].is_constant:
+        g = seq[-1]
+        r = _pseudo_rem(seq[-2], g if g.leading()[1] > 0 else -g, i)
+        seq.append(r * Fraction(-1, r.content()))
+    return [_coeffs(s, i) for s in seq]
 
 
 def _sign_changes(chain, x):
@@ -112,32 +98,28 @@ def _root_bound(coeffs):
     return Fraction(2) ** (max(exps, default=0) + 2)
 
 
-def _square_free(coeffs):
-    return _divmod(coeffs, _gcd(coeffs, _deriv(coeffs)))[0]
+def real_roots(p):
+    """All distinct real roots of a nonzero Polynomial in at most one variable.
 
-
-def _primitive_lead(coeffs):
-    """|Leading coefficient| of coeffs scaled to a primitive integer polynomial."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    return abs(ints[-1]) // math.gcd(*ints)
-
-
-def real_roots(coeffs):
-    """All distinct real roots of a univariate rational-coefficient polynomial.
-
-    `coeffs` lists coefficients from constant to leading term.  Returns a
-    sorted list whose entries are exact Fractions for rational roots and
-    RootBox isolating intervals, no wider than 2^-48, for irrational ones.
-    The zero polynomial is rejected.
+    Returns a sorted list whose entries are exact Fractions for rational
+    roots and RootBox isolating intervals, no wider than 2^-48, for
+    irrational ones.  A nonzero constant has none.  The zero polynomial and
+    a polynomial in more than one variable are rejected.
     """
-    coeffs = _strip([Fraction(c) for c in coeffs])
-    if not coeffs:
+    if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
-    sf = _square_free(coeffs)
-    a = _primitive_lead(sf)
-    chain = _sturm_chain(sf)
-    bound = _root_bound(sf)
+    used = p.variables_used()
+    if len(used) > 1:
+        raise ValueError(f"{p} is not univariate")
+    if not used:
+        return []
+    (i,) = used
+    sf = square_free_part(p)
+    # sf is primitive with int coefficients and a positive leading one
+    a = sf.leading()[1]
+    x = sf.reg.var(sf.reg.name(i))
+    chain = _sturm_chain(sf, i)
+    bound = _root_bound(chain[0])
     roots = []
     stack = [(-bound, bound)]
     # Invariant: no interval end on the stack is a root of sf, so each
@@ -146,13 +128,13 @@ def real_roots(coeffs):
         lo, hi = stack.pop()
         n = _sign_changes(chain, lo) - _sign_changes(chain, hi)
         if n == 1:
-            roots.append(_refine(sf, lo, hi, a))
+            roots.append(_refine(chain[0], lo, hi, a))
         elif n > 1:
             mid = (lo + hi) / 2
-            if _eval(sf, mid) == 0:
+            if _eval(chain[0], mid) == 0:
                 roots.append(mid)
-                sf = _deflate(sf, mid)
-                chain = _sturm_chain(sf)
+                sf = divexact(sf, x - mid)
+                chain = _sturm_chain(sf, i)
             stack.append((lo, mid))
             stack.append((mid, hi))
     return sorted(roots, key=lambda r: r.lo if isinstance(r, RootBox) else r)
@@ -189,11 +171,3 @@ def _refine(sf, lo, hi, a):
     if box.lo < cand < box.hi and _eval(sf, cand) == 0:
         return cand
     return _bisect(sf, box.lo, box.hi, _BOX_WIDTH)
-
-
-def _deflate(coeffs, root):
-    """Divide by (x - root) exactly."""
-    q, r = _divmod(coeffs, [-root, Fraction(1)])
-    if r:
-        raise VerificationError(f"deflation by a non-root {root}")
-    return q

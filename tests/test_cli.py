@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from accesskit import cli
+from accesskit import cli, groebner
 from accesskit.cli import (
     EXIT_ANALYSIS,
     EXIT_BUDGET,
@@ -80,6 +80,16 @@ class TestIndexAndSingular:
         assert code == EXIT_BUDGET
         assert doc["budget_exhausted"] is True
 
+    def test_groebner_budget_exits_3_with_one_line(self, monkeypatch, capsys):
+        # a ResourceBudgetError from the analysis, not report.budget_exhausted
+        monkeypatch.setattr(groebner, "_DEGREE_CAP", 1)
+        code = main(["index", path("fivestep")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_BUDGET, "")
+        assert captured.err == (
+            "resource budget exceeded: Groebner degree budget 1 exceeded\n"
+        )
+
     def test_parametric_raw_generators(self, tmp_path, capsys):
         # the chain stops at k = n = 2 with raw generators that carry T,
         # while its basis <x2^2, x1*x2, x1^2> does not
@@ -94,11 +104,18 @@ class TestIndexAndSingular:
         assert doc["singular_set"]["points"] == [["0", "0"]]
 
     def test_json_deterministic(self, capsys):
-        _, a = run(capsys, "index", path("coil"))
-        _, b = run(capsys, "index", path("coil"))
-        a.pop("elapsed_seconds")
-        b.pop("elapsed_seconds")
-        assert a == b
+        # the same command twice, and a --bind with a trailing comma, give
+        # the same document
+        trailing = ("--bind", COIL_BIND[1] + ",")
+        for first, second in (
+            (("index", path("coil")),) * 2,
+            (("check", path("coil"), *COIL_BIND), ("check", path("coil"), *trailing)),
+        ):
+            _, a = run(capsys, *first)
+            _, b = run(capsys, *second)
+            a.pop("elapsed_seconds")
+            b.pop("elapsed_seconds")
+            assert a == b
 
 
 EXPECTED = sorted((SYSTEMS.parent / "tests" / "cli_expected").glob("*.json"))
@@ -326,23 +343,24 @@ class TestErrors:
         rank = ["rank", path("fivestep"), "--x", "0,1", "--k", "2"]
         scan = ["scan1d", path("sinemap"), "--k", "1"]
         for argv, message in (
-            (rank + ["--tol", "inf"], "--tol"),
-            (rank + ["--tol", "-1"], "--tol"),
-            (rank + ["--tol", "nan"], "--tol"),
-            (scan + ["--threshold", "nan"], "--threshold"),
-            (scan + ["--threshold", "-1"], "--threshold"),
-            (scan + ["--threshold", "inf"], "--threshold"),
+            (rank + ["--tol", "inf"], "--tol:"),
+            (rank + ["--tol", "-1"], "--tol:"),
+            (rank + ["--tol", "nan"], "--tol:"),
+            (rank + ["--tol", "abc"], "--tol: 'abc' is not a finite number >= 0"),
+            (scan + ["--threshold", "nan"], "--threshold:"),
+            (scan + ["--threshold", "-1"], "--threshold:"),
+            (scan + ["--threshold", "inf"], "--threshold:"),
             # more grid points than the cap are refused before any scan
-            (scan + ["--grid", "5e-324"], "--grid"),
-            (scan + ["--grid", "1e-300"], "--grid"),
-            (scan + ["--x-range", "0,1", "--grid", "1e-6"], "--grid"),
-            (scan + ["--x-range=-1e308,1e308", "--grid", "1"], "--grid"),
+            (scan + ["--grid", "5e-324"], "--grid:"),
+            (scan + ["--grid", "1e-300"], "--grid:"),
+            (scan + ["--x-range", "0,1", "--grid", "1e-6"], "--grid:"),
+            (scan + ["--x-range=-1e308,1e308", "--grid", "1"], "--grid:"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == EXIT_PARSE
             captured = capsys.readouterr()
-            assert captured.out == "" and f"argument {message}:" in captured.err
+            assert captured.out == "" and f"argument {message}" in captured.err
 
     def test_zero_tolerance_and_threshold_are_accepted(self, capsys):
         rank = ["rank", path("fivestep"), "--x", "0,1", "--k", "5"]

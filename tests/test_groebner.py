@@ -26,7 +26,6 @@ from accesskit.groebner import (
     normal_form,
     vanishing_ideal,
 )
-from accesskit.realroots import _deflate
 from accesskit.ring import collect_by_class, grevlex_key
 from conftest import load_model
 
@@ -439,7 +438,7 @@ class TestSolveZeroDim:
 
     def test_wrong_root_is_an_error(self, reg, monkeypatch):
         # the final exact check must survive `python -O`, so it raises
-        monkeypatch.setattr(groebner, "real_roots", lambda coeffs: [Fraction(5)])
+        monkeypatch.setattr(groebner, "real_roots", lambda p: [Fraction(5)])
         x1, x2 = reg.var("x1"), reg.var("x2")
         with pytest.raises(VerificationError):
             solve_zero_dim(Ideal(reg, [x1 - reg.one(), x2]))
@@ -456,14 +455,19 @@ class TestSolveZeroDim:
 
     def test_irrational_points_are_boxes(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
-        r = solve_zero_dim(Ideal(reg, [x1 * x1 - reg.const(2), x2 - x1]))
-        assert r.status == "irrational"
-        assert r.points == []
-        # lex solving starts from the last state: x2^2 - 2 in the basis
-        assert [name for name, _ in r.boxes] == ["x2", "x2"]
-        for (_, box), sign in zip(r.boxes, (-1, 1)):
-            assert sign * box.lo > 0
-            assert (box.lo**2 - 2) * (box.hi**2 - 2) < 0
+        square = x1 * x1 - reg.const(2)
+        # lex solving starts from the last state: it meets x2^2 - 2 at once
+        # in the first basis, and x1^2 - 2 one level down, under x2 = 0, in
+        # the second
+        for gens, name in (([square, x2 - x1], "x2"), ([square, x2], "x1")):
+            r = solve_zero_dim(Ideal(reg, gens))
+            assert r.status == "irrational"
+            assert r.points == []
+            assert [n for n, _ in r.boxes] == [name, name]
+            for (_, box), sign in zip(r.boxes, (-1, 1)):
+                assert sign * box.lo > 0
+                assert box.hi - box.lo <= Fraction(1, 2**48)
+                assert (box.lo**2 - 2) * (box.hi**2 - 2) < 0
 
     def test_large_rational_coordinates(self, reg):
         x1, x2 = reg.var("x1"), reg.var("x2")
@@ -510,19 +514,6 @@ class TestSolveZeroDim:
                 want = solve_zero_dim(I)
             assert found.status == want.status == "points"
             assert found.points == want.points == sorted(set(pts))
-
-
-class TestDeflate:
-    # coefficients from the constant term up: x^2 - 1 = (x - 1)(x + 1)
-    SQUARE_MINUS_ONE = [Fraction(-1), Fraction(0), Fraction(1)]
-
-    def test_by_a_root(self):
-        assert _deflate(self.SQUARE_MINUS_ONE, Fraction(1)) == [1, 1]
-
-    def test_by_a_non_root_is_an_error(self):
-        # a runtime check, not an assert: it must survive `python -O`
-        with pytest.raises(VerificationError):
-            _deflate(self.SQUARE_MINUS_ONE, Fraction(2))
 
 
 def _product_vanishing_ideal(reg, points):
@@ -757,6 +748,12 @@ class TestMixedMembership:
             ideal.contains(other.var("y1"))
         with pytest.raises(ValueError):
             ideal.reduce(other.var("y1"), normalize=False)
+
+    def test_input_variable_generator_is_refused(self, reg):
+        x1, u = reg.var("x1"), reg.var("u")
+        msg = "polynomial involves input variable 'u'; not a state-ring element"
+        with pytest.raises(ValueError, match=msg):
+            Ideal(reg, [x1 * u])
 
 
 class TestZeroAndUnitIdeals:
