@@ -26,7 +26,8 @@ from accesskit.groebner import (
     normal_form,
     vanishing_ideal,
 )
-from accesskit.ring import collect_by_class, grevlex_key
+from accesskit.realroots import real_roots
+from accesskit.ring import collect_by_class, divexact, grevlex_key
 from conftest import load_model
 
 
@@ -514,6 +515,16 @@ class TestSolveZeroDim:
                 want = solve_zero_dim(I)
             assert found.status == want.status == "points"
             assert found.points == want.points == sorted(set(pts))
+
+
+class TestDeflate:
+    """A root that real solving meets exactly is divided out with divexact."""
+
+    def test_by_a_root(self, reg):
+        x1, one = reg.var("x1"), reg.one()
+        square_minus_one = x1 * x1 - one  # (x1 - 1)(x1 + 1)
+        assert divexact(square_minus_one, x1 - one) == x1 + one
+        assert real_roots(square_minus_one) == [Fraction(-1), Fraction(1)]
 
 
 def _product_vanishing_ideal(reg, points):
