@@ -28,6 +28,8 @@ from .ring import (
     square_free_part,
 )
 from .system import (
+    _minor_table,
+    _numerator_det,
     access_steps,
     bareiss_determinant,
     build_M,
@@ -113,23 +115,74 @@ def _locus_factor(den):
     return None if sf.is_constant else sf
 
 
+def _state_free_denominators(sys):
+    """No component denominator of the map uses a state; a polynomial map
+    has constant ones."""
+    return all(f.den.variables_used().isdisjoint(f.reg.state_indices) for f in sys.phi)
+
+
+def _minor_numerators(sys, k):
+    """The numerators of the n x n minors of M_k, keyed by column set, each
+    times a nonzero factor free of the states, for a map whose component
+    denominators use no state (`_state_free_denominators`).  No gcd is
+    taken and no RationalFunction is divided.
+
+    `system._minor_table` walks the column sets with `_numerator_det`: a
+    newest-block set gets the Bareiss determinant of its numerators when
+    each column shares one denominator, and the numerator of
+    `_det_rational` otherwise; a first-block set gets that value for
+    A<k-1> times the set's value at step k - 1.
+
+    Each value is P * F, with P/Q the reduced minor and F free of the
+    states.  Every denominator of A<k-1>, of M_k and of their minors
+    divides a product of component denominators shifted along the walk,
+    so it uses no state, and neither does any factor of it.  A set whose
+    columns share the denominators d_j gives det * prod(d_j), so F =
+    prod(d_j) / Q.  A first-block set gives P_A * F_A * P' * F', from
+    det A<k-1> = P_A/Q_A and the minor P'/Q' at step k - 1; the reduced
+    minor has P = P_A * P' / g with g = gcd(P_A * P', Q_A * Q'), so F =
+    g * F_A * F', and g divides a state-free polynomial.
+
+    So the step ideal does not change.  Over K = Q(params), the field of
+    `groebner`, write P = sum_i v_i(x) * a_i(u) with the v_i a basis of
+    the K-span of P's input-monomial coefficients; the a_i in K[u] are
+    then linearly independent.  Multiplying by F in K[u] is injective and
+    K-linear, so the a_i * F are independent too, and the input-monomial
+    coefficients of P * F span the same K-space as P's: both generate the
+    same ideal, with the same reduced basis.
+    """
+    return _minor_table(sys, k, "minor_nums", _numerator_det)
+
+
 def _step_ideal(sys, k):
     """The minor-coefficient ideal I_{M_k}, built once per model: the
     input-monomial coefficients of the numerators of the n x n minors of
-    M_k."""
+    M_k.  A map with state-free denominators reads them off
+    `_minor_numerators`, any other off the reduced `minor_determinants`."""
     key = ("step", k)
     if key not in sys._cache:
-        dets = minor_determinants(sys, k).values()
-        gens = [c for d in dets for c in collect_by_class(d.num, "input").values()]
+        if _state_free_denominators(sys):
+            nums = _minor_numerators(sys, k).values()
+        else:
+            nums = (d.num for d in minor_determinants(sys, k).values())
+        gens = [c for p in nums for c in collect_by_class(p, "input").values()]
         sys._cache[key] = Ideal(sys.reg, gens)
     return sys._cache[key]
 
 
 def _locus_upto(sys, k):
     """Excluded-locus factors of the entries and minors of M_1..M_k, in
-    first-seen order.  A polynomial map has none: every entry and minor
-    has a constant denominator."""
-    if _polynomial_map(sys):
+    first-seen order.
+
+    There are none when every component denominator is free of the states
+    and has constant content in the inputs, as on a polynomial map.  The
+    denominator of each entry and minor then divides a product of
+    component denominators shifted along the walk; a product of
+    polynomials of content 1 in the inputs has content 1 (Gauss), and so
+    has each of its factors."""
+    if _state_free_denominators(sys) and all(
+        _locus_factor(f.den) is None for f in sys.phi
+    ):
         return []
     dens = []
     for j in range(1, k + 1):
@@ -231,8 +284,8 @@ def _new_step_generators(sys, k, current, walk=None):
 
     A polynomial map, with or without parameters, takes the walk of
     `_reduced_step_generators`.  A rational map takes the step ideal
-    I_{M_k} of the rational engine (`minor_determinants`), every column
-    set ranked."""
+    I_{M_k} of the rational engine (`_step_ideal`), every column set
+    ranked."""
     if _polynomial_map(sys):
         return _reduced_step_generators(sys, k, current, walk)
     gens = _step_ideal(sys, k).generators

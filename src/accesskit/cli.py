@@ -17,6 +17,7 @@ import math
 import sys as _sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .analysis import (
@@ -103,8 +104,10 @@ def _singular_json(s):
     }
 
 
-def _header(digest, system, started, command=None):
-    """The keys every JSON document shares (`backward` has no command)."""
+def _header(digest, binds, started, system, command=None):
+    """The keys every JSON document shares (`backward` has no command).  A
+    document made under --bind records the values bound, so two documents
+    of one file tell an applied binding from none."""
     doc = {
         "tool": "accesskit",
         "version": __version__,
@@ -112,14 +115,16 @@ def _header(digest, system, started, command=None):
         "system": system,
         "elapsed_seconds": round(time.time() - started, 3),
     }
+    if binds:
+        doc["bindings"] = {name: _rat(v) for name, v in binds.items()}
     if command is not None:
         doc["command"] = command
     return doc
 
 
-def _report_json(report, digest, started, command=None):
+def _report_json(report, header, command=None):
     return {
-        **_header(digest, report.system_name, started, command),
+        **header(report.system_name, command),
         "mode": report.mode,
         "submersive": report.submersive,
         "generically_accessible": report.generically_accessible,
@@ -301,10 +306,11 @@ def _dispatch(args, started):
         if model is None:
             raise AccessKitError("backward analysis needs a symbolic system")
         report = _analyse(backward_analysis, model, max_k=args.max_k)
-        _emit(_report_json(report, digest, started))
+        _emit(_report_json(report, partial(_header, digest, binds, started)))
         return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
 
     spec, model, digest = _load(args.file, binds)
+    header = partial(_header, digest, binds, started)
 
     if cmd == "scan1d":
         step = to_numeric_step(spec, params=binds)
@@ -320,7 +326,7 @@ def _dispatch(args, started):
         )
         _emit(
             {
-                **_header(digest, spec.name, started, "scan1d"),
+                **header(spec.name, "scan1d"),
                 "certification": "estimate",
                 "levels": [
                     {"k": j + 1, "flagged": [round(x, 10) for x in pts]}
@@ -340,7 +346,7 @@ def _dispatch(args, started):
         ga = sub_ok and _analyse(generic_accessibility, model)
         _emit(
             {
-                **_header(digest, model.name, started, "check"),
+                **header(model.name, "check"),
                 "submersive": sub_ok,
                 "generically_accessible": ga,
                 "verdict": (
@@ -358,7 +364,7 @@ def _dispatch(args, started):
             r_star, _ideal, certified = _analyse(algorithm1, model, max_k=args.max_k)
             report.r_star = r_star
             report.r_star_certified = certified
-        _emit(_report_json(report, digest, started, cmd))
+        _emit(_report_json(report, header, cmd))
         return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
 
     if cmd == "point":
@@ -375,7 +381,7 @@ def _dispatch(args, started):
         )
         _emit(
             {
-                **_header(digest, model.name, started, "point"),
+                **header(model.name, "point"),
                 "point": [_rat(c) for c in x0],
                 "k": verdict.k,
                 "in_S_k": verdict.in_S_k,
@@ -401,7 +407,7 @@ def _dispatch(args, started):
         traj = _analyse(simulate, model, x0, inputs)
         _emit(
             {
-                **_header(digest, model.name, started, "simulate"),
+                **header(model.name, "simulate"),
                 "states": traj.states,
                 "inputs": traj.inputs,
             }
@@ -414,7 +420,7 @@ def _dispatch(args, started):
         )
         _emit(
             {
-                **_header(digest, model.name, started, "rank"),
+                **header(model.name, "rank"),
                 "k": args.k,
                 "rank": est.rank,
                 "singular_values": est.singular_values,

@@ -924,7 +924,8 @@ def divexact(p, d):
     if p.is_zero:
         return p
     if d.is_constant:
-        return p * Fraction(1, d.constant_value())
+        c = d.constant_value()
+        return p if c == 1 else p * Fraction(1, c)
     if len(d.terms) == 1:
         ((ed, cd),) = d.terms.items()
         q = {}

@@ -222,10 +222,8 @@ def _det_rational(entries):
       zero entries, in reduced rational arithmetic, which keeps every
       cofactor reduced.
     """
-    col_dens = [e.den for e in entries[0]]
-    if not all(
-        e.den.terms == d.terms for row in entries[1:] for e, d in zip(row, col_dens)
-    ):
+    col_dens = _shared_column_denominators(entries)
+    if col_dens is None:
         terms = [
             (e if j % 2 == 0 else -e)
             * _det_rational([row[:j] + row[j + 1 :] for row in entries[1:]])
@@ -240,34 +238,61 @@ def _det_rational(entries):
     return det
 
 
-def minor_determinants(sys, k):
-    """Determinants of all n x n submatrices of M_k, keyed by column set.
+def _numerator_det(entries):
+    """A polynomial multiple of the numerator of the determinant of a
+    square RationalFunction matrix, by a factor of the product of its
+    column denominators.
+
+    When every column shares one denominator, the fraction-free
+    determinant of the numerators is det * prod(column denominators);
+    any other matrix gives the numerator of `_det_rational`."""
+    if _shared_column_denominators(entries) is None:
+        return _det_rational(entries).num
+    return bareiss_determinant([[e.num for e in row] for row in entries])
+
+
+def _shared_column_denominators(entries):
+    """The denominator each column of a RationalFunction matrix shares, or
+    None when some column has two."""
+    dens = [e.den for e in entries[0]]
+    if all(e.den.terms == d.terms for row in entries[1:] for e, d in zip(row, dens)):
+        return dens
+    return None
+
+
+def _minor_table(sys, k, key, det):
+    """The n x n minors of M_k, each taken by det and keyed by column set,
+    cached on the model under (key, k).
 
     Minors drawn entirely from the A-propagated columns factor as
     det(A shifted) times the matching minor of M_{k-1}, which keeps the
     recursion cheap; only column sets touching the newest input block
     need a direct determinant.
     """
-    key = ("minor_dets", k)
-    if key in sys._cache:
-        return sys._cache[key]
+    if (key, k) in sys._cache:
+        return sys._cache[key, k]
     M = build_M(sys, k)
     n, m = sys.n, sys.m
     out = {}
     if k * m >= n:
         old_cols = (k - 1) * m
-        old = minor_determinants(sys, k - 1) if k > 1 and old_cols >= n else None
+        old = _minor_table(sys, k - 1, key, det) if k > 1 and old_cols >= n else None
         det_a = None
         for colset in combinations(range(k * m), n):
-            if old is not None and all(c < old_cols for c in colset):
+            if old is not None and colset[-1] < old_cols:
                 if det_a is None:
-                    det_a = _det_rational(sys._cache["walk"][k - 1].A)
+                    det_a = det(sys._cache["walk"][k - 1].A)
                 out[colset] = det_a * old[colset]
             else:
-                sub = [[M[i][j] for j in colset] for i in range(n)]
-                out[colset] = _det_rational(sub)
-    sys._cache[key] = out
+                out[colset] = det([[M[i][j] for j in colset] for i in range(n)])
+    sys._cache[key, k] = out
     return out
+
+
+def minor_determinants(sys, k):
+    """Determinants of all n x n submatrices of M_k, keyed by column set,
+    as reduced RationalFunctions."""
+    return _minor_table(sys, k, "minor_dets", _det_rational)
 
 
 def symbolic_rank(entries):

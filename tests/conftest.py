@@ -1,11 +1,18 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from accesskit import parse_system, to_system_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SYSTEMS = ROOT / "systems"
+
+# Every property test draws the same examples on every run: derandomized,
+# with no example database and no deadline.  A test sets only its
+# max_examples.
+settings.register_profile("accesskit", derandomize=True, database=None, deadline=None)
+settings.load_profile("accesskit")
 
 
 def load_model(name):

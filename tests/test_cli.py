@@ -40,6 +40,18 @@ class TestCheck:
         assert doc["tool"] == "accesskit"
         assert len(doc["input_sha256"]) == 64
 
+    def test_bindings_are_recorded(self, capsys):
+        # T = a = b = 0 makes coil not generically accessible; the document
+        # names the values, so it cannot pass for the unbound one
+        binds = ("--bind", "T=0,a=0", "--bind", "b=0")
+        _, bound = run(capsys, "check", path("coil"), *binds)
+        _, free = run(capsys, "check", path("coil"))
+        assert bound["bindings"] == {"T": "0", "a": "0", "b": "0"}
+        assert not bound["generically_accessible"]
+        assert "bindings" not in free and free["generically_accessible"]
+        _, doc = run(capsys, "singular", path("coil"), *COIL_BIND)
+        assert doc["bindings"] == {"T": "1/10", "a": "1", "b": "1"}
+
     def test_drift_not_accessible(self, capsys):
         code, doc = run(capsys, "check", path("drift"))
         assert code == EXIT_OK

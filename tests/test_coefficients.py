@@ -129,7 +129,7 @@ int_terms = st.dictionaries(exponents, integers, min_size=1, max_size=5)
 polys = st.dictionaries(exponents, rationals, min_size=1, max_size=4).map(
     lambda t: Polynomial(REG, t)
 )
-derandomized = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+derandomized = settings(max_examples=60)
 
 
 @derandomized

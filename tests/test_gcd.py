@@ -288,6 +288,16 @@ class TestDivexactAgainstSympy:
             assert r == 0
             assert divexact(a * d, d) == from_sympy(q) == a
 
+    def test_division_by_one_keeps_the_terms(self):
+        # Bareiss divides its first step by 1: the dividend comes back
+        # itself, not rebuilt term by term, its int coefficients still ints
+        x, y = REG.var("x"), REG.var("y")
+        p = 3 * x**2 * y - 5 * y + Fraction(1, 2) * x
+        q = divexact(p, REG.one())
+        assert q is p
+        assert [type(c) for c in q.terms.values()] == [int, int, Fraction]
+        assert divexact(2 * p, 2 * REG.one()) == p
+
     def test_inexact_pairs_raise(self):
         rng = random.Random(105)
         seen = 0

@@ -349,7 +349,7 @@ class TestRadicalHeuristic:
         assert not cert
         assert J.equal(Ideal(reg, [q]))
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_principal_radical_against_sympy(self, data):
         """Products of linear forms and x_i^2 - a, neither vanishing at the

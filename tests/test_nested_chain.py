@@ -135,7 +135,7 @@ class TestAgreesWithTheStepIdeals:
             want = _reference_index(load_model("fivestep"), max_k)
             assert _outcome(got) == _outcome(want), max_k
 
-    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(st.tuples(*[st.fractions(-3, 3, max_denominator=4).filter(bool)] * 3))
     def test_free_parameter_coil(self, couplings):
         gated, reference = _coil(*couplings), _coil(*couplings)

@@ -75,7 +75,7 @@ def operand_pairs(draw):
     return a, b
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(operand_pairs())
 def test_arithmetic_keeps_the_canonical_form(pair):
     a, b = pair

@@ -216,7 +216,7 @@ class TestRoundTrip:
         assert pretty(spec).endswith("x' = (x^3)^2 + u\n")
         assert parse_system(pretty(spec)) == spec
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(expression_trees())
     def test_every_tree_round_trips(self, tree):
         spec = SystemSpecFile("t", (), ("x",), ("u",), {"x": tree})

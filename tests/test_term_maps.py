@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from accesskit.ring import _add_terms, _divides_int, _mul_terms
 
-derandomized = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+derandomized = settings(max_examples=60)
 
 integers = st.integers(-9, 9).filter(bool)
 rationals = st.one_of(integers, st.builds(Fraction, integers, st.integers(2, 4)))
