@@ -5,18 +5,21 @@ inputs.  Polynomials store a map from exponent tuple to an exact rational
 coefficient: an ``int`` when it is integral, else a ``Fraction``, so the
 integer arithmetic of most chain polynomials skips ``Fraction``.  Hence
 ``Fraction(1, c)``, not ``1 / c`` (a float for an int ``c``), is the exact
-inverse of a coefficient.  Rational functions keep a fully reduced
-numerator/denominator pair whose denominator is primitive over the integers
-with a positive leading coefficient, kept by construction (see
-`RationalFunction`), so two arithmetic routes to the same value produce
-identical representations.
+inverse of a coefficient.  Products and exact divisions run on ints even
+when coefficients are not integral: each operand is cleared of denominators
+once, and each result coefficient is divided once.  Rational functions keep
+a fully reduced numerator/denominator pair whose denominator is primitive
+over the integers with a positive leading coefficient, kept by construction
+(see `RationalFunction`), so two arithmetic routes to the same value
+produce identical representations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 from .errors import (
     DegenerateDenominatorError,
@@ -59,13 +62,27 @@ def _coefficient(c):
 
 
 def _mul_terms(a, b):
-    """Product of two term maps."""
+    """Product of two term maps.
+
+    Both operands are cleared of denominators first, so the inner loop
+    multiplies ints and each output coefficient takes one division; a
+    single-term operand is used as it is, since each output term then costs
+    one product either way.
+    """
     if len(a) > len(b):
         a, b = b, a
     out = {}
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return _addmul_terms(out, c, e, b)
+    a, sa = _int_scale(a)
+    b, sb = _int_scale(b)
     for e, c in a.items():
         _addmul_terms(out, c, e, b)
-    return out
+    scale = sa * sb
+    if scale == 1:
+        return out
+    return {e: _q(Fraction(c, scale)) for e, c in out.items()}
 
 
 def _add_terms(a, b):
@@ -86,7 +103,7 @@ def _add_terms(a, b):
 
 def _addmul_terms(acc, coeff, shift, src):
     """In-place ``acc += coeff * x^shift * src``.  Returns ``acc``.
-    Products and both exact-division loops go through it."""
+    Products and substitution go through it."""
     if not coeff:
         return acc
     for e, c in src.items():
@@ -108,6 +125,35 @@ def _scale_terms(a, coeff):
     if not coeff:
         return {}
     return {e: _q(c * coeff) for e, c in a.items()}
+
+
+def _int_scale(terms):
+    """(integer term map, scale): the map times the lcm of its coefficients'
+    denominators, and that lcm.  A map of ints is returned as it is."""
+    dens = {c.denominator for c in terms.values() if type(c) is not int}
+    if not dens:
+        return terms, 1
+    scale = math.lcm(*dens)
+    ints = {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
+    return ints, scale
+
+
+def _heap_addmul(r, heap, coeff, shift, src):
+    """`_addmul_terms` on a division remainder whose keys also sit on a
+    heap: a key new to the remainder is pushed.  A key that cancels stays
+    on the heap, and the division loops skip it when it comes up."""
+    for e, c in src.items():
+        es = tuple(map(add, e, shift))
+        cur = r.get(es)
+        if cur is None:
+            r[es] = coeff * c
+            heappush(heap, es)
+        else:
+            cur = cur + coeff * c
+            if cur:
+                r[es] = cur
+            else:
+                del r[es]
 
 
 def _eval_terms(terms, values):
@@ -451,25 +497,51 @@ class Polynomial:
         place = {
             i: target.index(reg.name(i)) for i in self.variables_used() if i not in values
         }
-        total = target.zero()
-        if any(isinstance(v, RationalFunction) for v in ring):
-            total = RationalFunction(total)
-        powers = {}
-        for e, c in self.terms.items():
-            shift = [0] * target.arity
+
+        def shift(e):
+            out = [0] * target.arity
             for i, j in place.items():
-                shift[j] = e[i]
-            term = target.monomial(shift, c)
+                out[j] = e[i]
+            return tuple(out)
+
+        if any(isinstance(v, RationalFunction) for v in ring):
+            total = RationalFunction(target.zero())
+            powers = {}
+            for e, c in self.terms.items():
+                term = target.monomial(shift(e), c)
+                for i, v in values.items():
+                    n = e[i]
+                    if n:
+                        if (i, n) not in powers:
+                            powers[i, n] = v**n
+                        term = term * powers[i, n]
+                total = total + term
+            return total
+        # Polynomial values: every term adds into one term map, and v^n is
+        # built from v^(n-1); a number enters as a constant map.  Each
+        # coefficient enters in term-map form, as through `monomial`: an
+        # integral Fraction, which a product with a monomial can leave in a
+        # map, would otherwise ride into the result.
+        unit = {(0,) * target.arity: 1}
+        values = {
+            i: (v.lift(target).terms if isinstance(v, Polynomial)
+                else _scale_terms(unit, v))
+            for i, v in values.items()
+        }
+        powers = {i: [v] for i, v in values.items()}
+        acc = {}
+        for e, c in self.terms.items():
+            prod = unit
             for i, v in values.items():
                 n = e[i]
                 if n:
-                    if (i, n) not in powers:
-                        powers[i, n] = v**n
-                    term = term * powers[i, n]
-            total = total + term
-        if rational and isinstance(total, Polynomial):
-            return RationalFunction(total)
-        return total
+                    pw = powers[i]
+                    while len(pw) < n:
+                        pw.append(_mul_terms(pw[-1], v))
+                    prod = pw[n - 1] if prod is unit else _mul_terms(prod, pw[n - 1])
+            _addmul_terms(acc, _q(c), shift(e), prod)
+        total = Polynomial(target, acc, _clean=True)
+        return RationalFunction(total) if rational else total
 
     # -- normalization helpers -------------------------------------------
 
@@ -660,8 +732,10 @@ def _divides_int(cand, terms):
     """Integer-exact polynomial division test of terms by cand.
 
     The quotient of an exact division is the same in every monomial order,
-    so the loop divides in lex order (plain tuple comparison).  A quotient
-    term outside the quotient's degree box proves the division inexact.
+    so the loop divides in lex order (plain tuple comparison), cancelling
+    the remainder's smallest monomial first, as `divexact` does.  A
+    coefficient that cand's smallest one does not divide, or a quotient
+    term outside the quotient's degree box, proves the division inexact.
     """
     if len(cand) == 1:
         ((ed, cd),) = cand.items()
@@ -672,22 +746,26 @@ def _divides_int(cand, terms):
     box = _quotient_box(terms, cand)
     if box is None:
         return False
-    ed = max(cand)
-    cd = cand[ed]
     r = dict(terms)
+    heap = list(r)
+    heapify(heap)
+    rest = dict(cand)
+    ed = min(rest)
+    cd = rest.pop(ed)
     steps = 0
-    while r:
+    while heap:
+        e = heappop(heap)
+        c = r.pop(e, None)
+        if c is None:  # cancelled after it was pushed
+            continue
         steps += 1
         if steps > 20000:
             return False
-        e = max(r)
-        c = r[e]
-        if c % cd:
+        qc, rem = divmod(c, cd)
+        s = tuple(map(sub, e, ed))
+        if rem or any(a < 0 or a > b for a, b in zip(s, box)):
             return False
-        s = tuple(a - b for a, b in zip(e, ed))
-        if any(a < 0 or a > b for a, b in zip(s, box)):
-            return False
-        _addmul_terms(r, -(c // cd), s, cand)
+        _heap_addmul(r, heap, -qc, s, rest)
     return True
 
 
@@ -766,7 +844,7 @@ def _smaller_operand_gcd(f, g):
     folded until one is constant.
     """
     s = f.primitive()[0]
-    if _divides_int(s.terms, _int_scale(g)):
+    if _divides_int(s.terms, _int_scale(g.terms)[0]):
         return s
     uf, ug = _used(f.terms), _used(g.terms)
     for a, b, own in ((g, f, ug - uf), (f, g, uf - ug)):
@@ -796,8 +874,8 @@ def _monomial_and_heu_gcd(f, g):
     fm, f = _strip_monomial(f)
     gm, g = _strip_monomial(g)
     mono = reg.monomial(tuple(map(min, fm, gm)))
-    fi = _int_scale(f)
-    gi = _int_scale(g)
+    fi = _int_scale(f.terms)[0]
+    gi = _int_scale(g.terms)[0]
     if _coprime(fi, gi):  # a constant core shares no variable
         return mono
     cand = _heu_gcd(reg, fi, gi)
@@ -887,14 +965,6 @@ def _gcd_degree_mod_p(a, b):
     return 0
 
 
-def _int_scale(p):
-    """Term dict of p scaled to integer coefficients."""
-    scale = 1
-    for c in p.terms.values():
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return {e: int(c * scale) for e, c in p.terms.items()}
-
-
 def _prs_gcd(f, g):
     """gcd by the primitive remainder sequence in the last variable used
     (Geddes, Czapor & Labahn 1992, ch. 7).  Every divisor is primitive in
@@ -915,8 +985,20 @@ def _prs_gcd(f, g):
 def divexact(p, d):
     """Exact polynomial division; raises ExactDivisionError on failure.
 
-    Divides in lex order, like `_divides_int`: an exact quotient is the
-    same in every monomial order.
+    The dividend is cleared of denominators and the divisor made integral
+    and primitive, so the quotient loop runs on ints: by Gauss's lemma an
+    exact quotient over Q of an integral polynomial by a primitive one is
+    integral.  Both scales fold into one Fraction, applied to the quotient
+    once.
+
+    The loop cancels the remainder's lex-smallest monomial first, popped
+    from a heap (Monagan & Pearce, JSC 2011) in place of a scan per quotient
+    term: lex order is multiplicative, so the smallest term of q*d is the
+    product of the smallest terms of q and d, and an exact quotient comes
+    out term by term.  A remainder coefficient that the divisor's smallest
+    coefficient does not divide proves the division inexact, and so does a
+    quotient term outside the degree box an exact quotient lies in; the
+    quotient terms increase, so the box also bounds the loop.
     """
     p, d = unify(p, d)
     if d.is_zero:
@@ -938,18 +1020,30 @@ def divexact(p, d):
     box = _quotient_box(p.terms, d.terms)
     if box is None:
         raise ExactDivisionError("inexact polynomial division")
-    ed = max(d.terms)
-    cd = d.terms[ed]
-    r = dict(p.terms)
+    pi, sp = _int_scale(p.terms)
+    di, sd = _int_scale(d.terms)
+    g = math.gcd(*di.values())
+    r = dict(pi)
+    heap = list(r)
+    heapify(heap)
+    rest = {e: c // g for e, c in di.items()}
+    ed = min(rest)
+    cd = rest.pop(ed)
     q = {}
-    while r:
-        e = max(r)
-        s = tuple(x - y for x, y in zip(e, ed))
-        if any(x < 0 or x > y for x, y in zip(s, box)):
+    while heap:
+        e = heappop(heap)
+        c = r.pop(e, None)
+        if c is None:  # cancelled after it was pushed
+            continue
+        qc, rem = divmod(c, cd)
+        s = tuple(map(sub, e, ed))
+        if rem or any(x < 0 or x > y for x, y in zip(s, box)):
             raise ExactDivisionError("inexact polynomial division")
-        cc = _q(Fraction(r[e], cd))
-        q[s] = cc
-        _addmul_terms(r, -cc, s, d.terms)
+        q[s] = qc
+        _heap_addmul(r, heap, -qc, s, rest)
+    if sd != sp * g:
+        scale = Fraction(sd, sp * g)
+        q = {e: _q(c * scale) for e, c in q.items()}
     return Polynomial(p.reg, q, _clean=True)
 
 

@@ -18,6 +18,11 @@ NAMES = REG.names()
 SYMS = sympy.symbols(NAMES)
 
 
+def ints(p):
+    """The term map of p scaled to integer coefficients."""
+    return _int_scale(p.terms)[0]
+
+
 def symbols(reg):
     return [sympy.Symbol(n) for n in reg.names()]
 
@@ -110,7 +115,7 @@ class TestGcdAgainstSympy:
             want = sympy_gcd(f, g)
             assert fresh_gcd(monkeypatch, f, g) == want
             if want.is_constant:
-                proven += _coprime(_int_scale(f), _int_scale(g))
+                proven += _coprime(ints(f), ints(g))
         if path == "default":
             # the certificate, not GCDHEU, settles nearly all of them
             assert proven >= 35
@@ -126,7 +131,7 @@ class TestGcdAgainstSympy:
             h = fresh_gcd(monkeypatch, f, g)
             assert h == sympy_gcd(f, g)
             assert not h.is_constant
-            assert not _coprime(_int_scale(f), _int_scale(g))
+            assert not _coprime(ints(f), ints(g))
 
     def test_pairs_with_monomial_content(self, monkeypatch, path):
         rng = random.Random(103)
@@ -192,9 +197,9 @@ def coil_reversed_pair():
 
 def test_a_pair_gcdheu_gives_up_on_reaches_the_prs(monkeypatch):
     f, g, want = coil_reversed_pair()
-    assert ring._heu_gcd(f.reg, _int_scale(f), _int_scale(g)) is None
+    assert ring._heu_gcd(f.reg, ints(f), ints(g)) is None
     fs, gs = (ring._strip_monomial(p)[1] for p in (f, g))
-    assert ring._heu_gcd(f.reg, _int_scale(fs), _int_scale(gs)) is None
+    assert ring._heu_gcd(f.reg, ints(fs), ints(gs)) is None
     calls = []
     prs = ring._prs_gcd
 
@@ -318,17 +323,17 @@ class TestDivexactAgainstSympy:
         x, y = REG.var("x"), REG.var("y")
         with pytest.raises(ExactDivisionError):
             divexact(x**5, x - y**10)
-        assert not _divides_int(_int_scale(x - y**10), _int_scale(x**5))
+        assert not _divides_int(ints(x - y**10), ints(x**5))
 
     def test_integer_division_test(self):
         # _divides_int is exact division over Z: the quotient must exist
         # and have integer coefficients
         rng = random.Random(106)
         for _ in range(80):
-            p = _int_scale(nonconstant(rng, terms=4))
-            d = _int_scale(nonconstant(rng, terms=rng.randint(1, 2)))
+            p = ints(nonconstant(rng, terms=4))
+            d = ints(nonconstant(rng, terms=rng.randint(1, 2)))
             if rng.random() < 0.5:
-                p = _int_scale(ring.Polynomial(REG, p) * ring.Polynomial(REG, d))
+                p = ints(ring.Polynomial(REG, p) * ring.Polynomial(REG, d))
             sp = to_sympy(ring.Polynomial(REG, p))
             sd = to_sympy(ring.Polynomial(REG, d))
             q, r = sympy.div(sp, sd, *SYMS)
@@ -338,11 +343,11 @@ class TestDivexactAgainstSympy:
             assert _divides_int(d, p) == want
         # a single-term candidate: every term, coefficients included
         x, y = REG.var("x"), REG.var("y")
-        two_x = _int_scale(2 * x)
-        assert _divides_int(two_x, _int_scale(4 * x**2))
-        assert not _divides_int(two_x, _int_scale(3 * x**2))
-        assert not _divides_int(two_x, _int_scale(2 * x + 2))
-        assert not _divides_int(_int_scale(y), _int_scale(x * y + x))
+        two_x = ints(2 * x)
+        assert _divides_int(two_x, ints(4 * x**2))
+        assert not _divides_int(two_x, ints(3 * x**2))
+        assert not _divides_int(two_x, ints(2 * x + 2))
+        assert not _divides_int(ints(y), ints(x * y + x))
 
 
 class TestCoprimeDeclines:
@@ -359,20 +364,20 @@ class TestCoprimeDeclines:
         f = (y - 3) * x + 1
         g = (y - 3) * x**2 + 2 * y
         self.point(monkeypatch, y=3)
-        assert not _coprime(_int_scale(f), _int_scale(g))
+        assert not _coprime(ints(f), ints(g))
         assert fresh_gcd(monkeypatch, f, g) == REG.one() == sympy_gcd(f, g)
         self.point(monkeypatch, y=4)
-        assert _coprime(_int_scale(f), _int_scale(g))
+        assert _coprime(ints(f), ints(g))
 
     def test_images_share_a_factor(self, monkeypatch):
         x, y = REG.var("x"), REG.var("y")
         f = x - y
         g = x**2 - 9 + (y - 3) * x * y
         self.point(monkeypatch, y=3)  # images x - 3 and x^2 - 9
-        assert not _coprime(_int_scale(f), _int_scale(g))
+        assert not _coprime(ints(f), ints(g))
         assert fresh_gcd(monkeypatch, f, g) == REG.one() == sympy_gcd(f, g)
         self.point(monkeypatch, y=5)
-        assert _coprime(_int_scale(f), _int_scale(g))
+        assert _coprime(ints(f), ints(g))
 
 
 def test_gcd_with_a_monomial_or_a_constant(monkeypatch):

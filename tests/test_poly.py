@@ -181,6 +181,57 @@ class TestSubstitute:
             assert result.num.terms == expected.num.terms
             assert result.den.terms == expected.den.terms
 
+    def test_polynomial_valued_bindings(self, reg):
+        # polynomial and number values: every term is added into one term
+        # map, with v^n built from v^(n-1); the result equals, term for
+        # term, the sum of the substituted terms built one at a time
+        rng = random.Random(15)
+        big = reg.with_horizon(3)
+        names = reg.names()
+        seen = {"fourth power": 0, "two bound": 0, "unbound": 0, "long horizon": 0}
+        for _ in range(200):
+            f = reg.zero()
+            for _ in range(5):
+                exp = [0] * reg.arity
+                for i in rng.sample(range(reg.arity), rng.randint(1, 3)):
+                    exp[i] = rng.randint(1, 4)
+                f = f + reg.monomial(exp, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            values = {}
+            for name in rng.sample(names, rng.randint(1, 4)):
+                g = _random_poly(rng.choice((reg, big)), rng)
+                values[name] = rng.choice(
+                    (
+                        g * Fraction(1, rng.randint(1, 3)),
+                        g,
+                        rng.randint(-3, 3),
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    )
+                )
+            polys = {n for n, v in values.items() if isinstance(v, Polynomial)}
+            target = max(
+                (values[n].reg for n in polys), key=lambda r: r.arity, default=reg
+            )
+            expected = target.zero()
+            for e, c in f.terms.items():
+                term = target.const(c)
+                bound = 0
+                for i, n in enumerate(e):
+                    v = values.get(names[i], target.var(names[i]))
+                    if not isinstance(v, Polynomial):
+                        v = target.const(v)
+                    term = term * v.lift(target) ** n
+                    if n and names[i] in polys:
+                        bound += 1
+                        seen["fourth power"] += n == 4
+                    seen["unbound"] += bool(n) and names[i] not in values
+                seen["two bound"] += bound >= 2
+                expected = expected + term
+            seen["long horizon"] += target is not reg
+            result = f.substitute(values)
+            assert type(result) is Polynomial and result.reg == target
+            assert result.terms == expected.terms
+        assert all(seen.values()), seen
+
     def test_substitution_evaluation_commutes_randomized(self, reg):
         rng = random.Random(99)
         names = reg.names()

@@ -1,12 +1,17 @@
-"""Properties of the term-map kernel: products and the exact-division
-test, which both add through `_addmul_terms`."""
+"""Properties of the term-map kernel: products, which clear denominators
+and add through `_addmul_terms`, the exact-division test, and `divexact`,
+which divides on ints over a heap of remainder monomials."""
 
+import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accesskit.ring import _add_terms, _divides_int, _mul_terms
+from accesskit import Polynomial, VariableRegistry
+from accesskit.errors import ExactDivisionError
+from accesskit.ring import _add_terms, _divides_int, _mul_terms, divexact
 
 derandomized = settings(max_examples=60)
 
@@ -62,3 +67,82 @@ def test_a_product_is_divisible_by_its_factor(case):
     unit = b in (one, {(0,) * n: -1})
     assert _divides_int(b, _add_terms(ab, one)) == unit
 
+
+def integral_fractions(terms):
+    return [c for c in terms.values() if type(c) is Fraction and c.denominator == 1]
+
+
+@derandomized
+@given(pairs(rationals, min_size=2))
+def test_rational_product_has_no_integral_fraction(case):
+    # both operands are cleared, and each output coefficient is divided once
+    _, a, b = case
+    ab = _mul_terms(a, b)
+    assert ab == naive_product(a, b)
+    assert not integral_fractions(ab)
+
+
+@derandomized
+@given(pairs(rationals, min_size=1))
+def test_product_with_a_monomial_is_the_pairwise_sum(case):
+    _, a, b = case
+    e, c = next(iter(b.items()))
+    mono = {e: c}
+    assert _mul_terms(a, mono) == naive_product(a, mono) == _mul_terms(mono, a)
+
+
+# -- divexact ---------------------------------------------------------------
+
+REG = VariableRegistry(("x", "y", "z"), ("u",), (), 1)
+
+
+def polys(min_size=0):
+    return term_maps(REG.arity, rationals, min_size).map(lambda t: Polynomial(REG, t))
+
+
+@derandomized
+@given(polys(), polys(min_size=2), rationals)
+@example(
+    Polynomial(REG, {(1, 0, 0, 0): Fraction(1, 3), (0, 0, 0, 0): 2}),
+    Polynomial(REG, {(2, 0, 1, 0): Fraction(3, 2), (0, 1, 0, 0): Fraction(5, 4)}),
+    Fraction(-2, 3),
+)
+def test_divexact_gives_back_the_factor(a, d, content):
+    # d with rational content; in the example, d = -x^2*z - 5/6*y has
+    # negative coefficients at both its largest and its smallest monomial
+    d = d * content
+    assert divexact(a * d, d) == a
+
+
+def test_inexact_division_by_a_remainder():
+    # the walk starts at the smallest monomials: the quotient term 3 / 2
+    # lies in the quotient's degree box, but over the ints 3 is not a
+    # multiple of 2; the floor quotient 1 would cancel the rest exactly
+    x = REG.var("x")
+    with pytest.raises(ExactDivisionError):
+        divexact(x + 3, x + 2)
+
+
+def test_inexact_division_by_the_quotient_box():
+    # every coefficient divides, but the walk (quotient terms y, -x*y, then
+    # x^2) leaves the quotient's degree box, whose x-degree is 2 - 1 = 1
+    x, y = REG.var("x"), REG.var("y")
+    with pytest.raises(ExactDivisionError):
+        divexact(x**2 + y, x + 1)
+
+
+def test_divexact_of_a_large_product_by_its_small_factor():
+    rng = random.Random(5)
+
+    def seeded(n, deg):
+        t = {}
+        while len(t) < n:
+            e = tuple(rng.randint(0, deg) for _ in range(REG.arity))
+            t[e] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+        return Polynomial(REG, t)
+
+    d = seeded(8, 3)
+    a = seeded(340, 9)
+    p = a * d
+    assert 2400 <= len(p.terms) <= 2700
+    assert divexact(p, d) == a
