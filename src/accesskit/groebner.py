@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import prod
-from operator import add
+from operator import add, le, neg, sub
 
 from .errors import ResourceBudgetError, VerificationError
 from .realroots import RootBox, real_roots
@@ -45,7 +46,15 @@ def _shift_tuple(reg, proj):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _heap_order(key):
+    """Min-heap key on state exponents whose smallest value is the largest
+    monomial under the sort key `key`."""
+    if key is grevlex_key:
+        return lambda m: (-sum(m), m[::-1])
+    return lambda m: tuple(map(neg, key(m)))
 
 
 def to_state_ring(p):
@@ -127,30 +136,40 @@ def normal_form(p, basis, key=grevlex_key, normalize=True):
     the parameter-free case).
 
     p is held as its state-monomial groups and reduced in place: each step
-    takes the largest group, cancels it against the first basis element
-    whose leading monomial divides it, and adds the multiple of that
-    element's other groups straight into the target groups.
+    pops the largest group from a heap of their monomials, cancels it
+    against the first basis element whose leading monomial divides it, and
+    adds the multiple of that element's other groups straight into the
+    target groups, pushing each group it creates (Monagan & Pearce, Sparse
+    polynomial division using a heap, JSC 2011).  Every such group is
+    smaller than the lead it cancels, so a popped monomial never comes
+    back; one whose group cancelled since it was pushed is skipped.
     """
     reg = p.reg
     spos = reg.state_indices
+    lo, hi = spos.start, spos.stop
     work = _split(p.terms, spos)
+    order = _heap_order(key)
+    heap = [(order(m), m) for m in work]
+    heapify(heap)
     rem = {}  # irreducible groups; all larger than anything left in work
     steps = 0
-    while work:
+    while heap:
+        lead = heappop(heap)[1]
+        coeff = work.pop(lead, None)
+        if coeff is None:
+            continue
         steps += 1
         if steps > _STEP_CAP:
             raise ResourceBudgetError(
                 "normal-form step budget exceeded", partial=[g.poly for g in basis]
             )
-        lead = max(work, key=key)
-        coeff = work.pop(lead)
         for g in basis:
             if _divides(g.lead, lead):
                 break
         else:
             rem[lead] = coeff
             continue
-        shift = tuple(a - b for a, b in zip(lead, g.lead))
+        shift = tuple(map(sub, lead, g.lead))
         if g.lc is None:
             if not normalize:
                 raise ValueError(
@@ -163,6 +182,8 @@ def normal_form(p, basis, key=grevlex_key, normalize=True):
         for m, t in g.tail:
             m = tuple(map(add, m, shift))
             acc = work.setdefault(m, {})
+            if not acc:  # a group is never empty, so this one is new
+                heappush(heap, (order(m), m))
             for r, c in coeff.items():
                 _addmul_terms(acc, c, r, t)
             if not acc:
@@ -170,9 +191,7 @@ def normal_form(p, basis, key=grevlex_key, normalize=True):
     out = {}
     for m, t in rem.items():
         for r, c in t.items():
-            e = list(r)
-            e[spos.start : spos.stop] = m
-            out[tuple(e)] = c
+            out[r[:lo] + m + r[hi:]] = c
     out = Polynomial(reg, out, _clean=True)
     if out.is_zero or not normalize:
         return out

@@ -67,14 +67,18 @@ def _mul_terms(a, b):
     Both operands are cleared of denominators first, so the inner loop
     multiplies ints and each output coefficient takes one division; a
     single-term operand is used as it is, since each output term then costs
-    one product either way.
+    one product either way, and a Fraction in either operand sends the
+    result through `_q`, which leaves no integral Fraction.
     """
     if len(a) > len(b):
         a, b = b, a
     out = {}
     if len(a) == 1:
         ((e, c),) = a.items()
-        return _addmul_terms(out, c, e, b)
+        _addmul_terms(out, c, e, b)
+        if type(c) is int and all(type(v) is int for v in b.values()):
+            return out
+        return {e: _q(c) for e, c in out.items()}
     a, sa = _int_scale(a)
     b, sb = _int_scale(b)
     for e, c in a.items():
@@ -520,8 +524,8 @@ class Polynomial:
         # Polynomial values: every term adds into one term map, and v^n is
         # built from v^(n-1); a number enters as a constant map.  Each
         # coefficient enters in term-map form, as through `monomial`: an
-        # integral Fraction, which a product with a monomial can leave in a
-        # map, would otherwise ride into the result.
+        # integral Fraction, which a sum of Fractions can leave in a map,
+        # would otherwise ride into the result.
         unit = {(0,) * target.arity: 1}
         values = {
             i: (v.lift(target).terms if isinstance(v, Polynomial)
@@ -616,9 +620,16 @@ def _split(terms, positions):
     """Group a term map by its exponents at the given positions.
 
     Returns {projected exponent: {rest exponent: coefficient}}, where a
-    rest exponent is the full exponent with those positions zeroed.
+    rest exponent is the full exponent with those positions zeroed.  A
+    contiguous `range` of positions, such as `state_indices`, is sliced.
     """
     groups = {}
+    if type(positions) is range and positions.step == 1:
+        lo, hi = positions.start, positions.stop
+        zeros = (0,) * (hi - lo)
+        for e, c in terms.items():
+            groups.setdefault(e[lo:hi], {})[e[:lo] + zeros + e[hi:]] = c
+        return groups
     for e, c in terms.items():
         rest = list(e)
         for i in positions:

@@ -174,15 +174,34 @@ def test_gcd_matches_sympy(f, g, h):
 
 
 def test_primitive_part_of_integral_fractions_is_int():
-    # a product with a monomial multiplies coefficient by coefficient, so
-    # Fractions leave integral Fractions behind; a canonical denominator
-    # holds ints all the same
+    # a sum adds coefficient to coefficient, so Fractions leave integral
+    # Fractions behind; a canonical denominator holds ints all the same
     x, y = REG.var("x"), REG.var("y")
-    den = (x * Fraction(1, 2) + Fraction(1, 2)) * (2 * y)
+    half = (x * y + y) * Fraction(1, 2)
+    den = half + half
     assert not all(type(c) is int for c in den.terms.values())
     f = RationalFunction(REG.one(), den)
     assert f.den.terms == (x * y + y).terms
     assert all(type(c) is int for c in f.den.terms.values())
+
+
+def test_benchmark_bound_model_stores_ints():
+    # a `coil_reversed_bound` model of the benchmark (T = 1/11, a = 2,
+    # b = 4): canonical form scales its numerators by products with a
+    # monomial, such as 121*(-7/11*z1 + 1/11*z2), whose integral results
+    # are stored as ints
+    text = (
+        "system bench\nstates z1 z2\ninputs v\n"
+        "z1' = (((4)*z1 + z2)*(1/11) - z1)/(v*(2)*(1/11)^2 + (4)*(1/11) - 1)\n"
+        "z2' = (v*z1*(2)*(1/11) - z2)/(v*(2)*(1/11)^2 + (4)*(1/11) - 1)\n"
+    )
+    phi = to_system_model(parse_system(text)).phi
+    assert [str(f) for f in phi] == [
+        "(-77*z1 + 11*z2)/(2*v - 77)",
+        "(22*z1*v - 121*z2)/(2*v - 77)",
+    ]
+    coeffs = [c for f in phi for p in (f.num, f.den) for c in p.terms.values()]
+    assert all(type(c) is int for c in coeffs)
 
 
 def test_primitive_of_an_int_primitive_polynomial_is_itself():

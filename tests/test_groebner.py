@@ -1,6 +1,7 @@
 """Ideal arithmetic: Groebner bases, membership, radicals, real solving."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -601,6 +602,53 @@ def _random_poly(reg, rng, names, terms, deg):
     return p
 
 
+class _Groups(dict):
+    """The state-monomial groups of a normal form under reduction, counting
+    the groups created and noting those cancelled to empty."""
+
+    def __init__(self, groups):
+        super().__init__(groups)
+        self.created = Counter(groups.keys())
+        self.cancelled = set()
+        self.recreated = set()
+
+    def setdefault(self, m, default=None):
+        if m not in self:
+            self.created[m] += 1
+            if m in self.cancelled:
+                self.recreated.add(m)
+        return super().setdefault(m, default)
+
+    def __delitem__(self, m):
+        self.cancelled.add(m)
+        super().__delitem__(m)
+
+
+def _watch_groups(monkeypatch):
+    """The groups of every state split in `groebner` from here on, one
+    `_Groups` each; build a basis before watching a normal form."""
+    seen = []
+    split = groebner._split
+
+    def watched(terms, positions):
+        seen.append(_Groups(split(terms, positions)))
+        return seen[-1]
+
+    monkeypatch.setattr(groebner, "_split", watched)
+    return seen
+
+
+def _recreating_reduction(key):
+    """(p, basis): 2*x^2*y - x*y + 1 modulo <2*x - 2*y + 1, x - 2*y^2>,
+    whose remainder is -1/2*y + 3/2 in seven steps.  In degrevlex,
+    reducing y^3 cancels the y^2 group, which reducing x*y creates again;
+    in lex the y group does the same."""
+    reg, x, y = _plain(("x", "y"))
+    gens = Ideal(reg, [2 * x - 2 * y + 1, x - 2 * y**2]).generators
+    basis = [_GBPoly(g, key) for g in buchberger(list(gens), key)]
+    return 2 * x**2 * y - x * y + 1, basis
+
+
 class TestNormalForm:
     """The in-place normal form against sympy, and the one-pass reduction of
     state x input polynomials against coefficient-wise reduction."""
@@ -688,6 +736,54 @@ class TestNormalForm:
         assert err.value.partial
         assert err.value.partial == ideal.groebner_basis()
         assert not ideal.reduce(p).is_zero
+
+    @pytest.mark.parametrize("key", [grevlex_key, tuple], ids=["degrevlex", "lex"])
+    def test_recreated_group_matches_sympy(self, key, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x y")
+        order = "grevlex" if key is grevlex_key else "lex"
+        p, basis = _recreating_reduction(key)
+        G = sympy.groebner([sympy.sympify(str(g.poly)) for g in basis], *xs, order=order)
+        _, want = sympy.reduced(sympy.sympify(str(p)), G.exprs, *xs, order=order)
+        seen = _watch_groups(monkeypatch)
+        got = normal_form(p, basis, key, normalize=False)
+        (work,) = seen
+        assert work.recreated == ({(0, 2)} if key is grevlex_key else {(0, 1)})
+        assert sympy.expand(sympy.sympify(str(got)) - want) == 0
+        assert str(got) == "-1/2*y + 3/2"
+
+    def test_step_budget_counts_each_lead_once(self, monkeypatch):
+        # seven steps, though the recreated y^2 group sits on the heap twice
+        p, basis = _recreating_reduction(grevlex_key)
+        want = normal_form(p, basis, normalize=False)
+        monkeypatch.setattr(groebner, "_STEP_CAP", 7)
+        assert normal_form(p, basis, normalize=False) == want
+        monkeypatch.setattr(groebner, "_STEP_CAP", 6)
+        with pytest.raises(ResourceBudgetError, match="normal-form") as err:
+            normal_form(p, basis, normalize=False)
+        assert err.value.partial == [g.poly for g in basis]
+
+    def test_sort_key_once_per_created_group(self, monkeypatch):
+        # lex through a wrapped `tuple`: a group's monomial is keyed when
+        # the group is created, not again at each step it waits
+        calls = Counter()
+
+        def counting(m):
+            calls[m] += 1
+            return tuple(m)
+
+        names = ("x1", "x2", "x3")
+        reg = VariableRegistry(names)
+        rng = random.Random(10)
+        gens = Ideal(reg, [_random_poly(reg, rng, names, 3, 2) for _ in range(2)])
+        basis = [_GBPoly(g, tuple) for g in buchberger(list(gens.generators), tuple)]
+        p = _random_poly(reg, rng, names, 6, 5)
+        seen = _watch_groups(monkeypatch)
+        got = normal_form(p, basis, counting, normalize=False)
+        (work,) = seen
+        assert got == normal_form(p, basis, tuple, normalize=False)
+        assert sum(work.created.values()) >= 20
+        assert all(n <= work.created[m] for m, n in calls.items())
 
     def test_parametric_leading_coefficient(self, reg):
         x1, x2, T = reg.var("x1"), reg.var("x2"), reg.var("T")

@@ -1,6 +1,6 @@
 """Properties of the term-map kernel: products, which clear denominators
-and add through `_addmul_terms`, the exact-division test, and `divexact`,
-which divides on ints over a heap of remainder monomials."""
+and add through `_addmul_terms`, the exact-division test, `divexact`,
+which divides on ints over a heap of remainder monomials, and `_split`."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from accesskit import Polynomial, VariableRegistry
 from accesskit.errors import ExactDivisionError
-from accesskit.ring import _add_terms, _divides_int, _mul_terms, divexact
+from accesskit.ring import _add_terms, _divides_int, _mul_terms, _split, divexact
 
 derandomized = settings(max_examples=60)
 
@@ -146,3 +146,22 @@ def test_divexact_of_a_large_product_by_its_small_factor():
     p = a * d
     assert 2400 <= len(p.terms) <= 2700
     assert divexact(p, d) == a
+
+
+# -- _split -----------------------------------------------------------------
+
+
+@st.composite
+def spans(draw):
+    """(terms, lo, hi): a term map over n variables, 1 <= n <= 5, and a
+    span 0 <= lo <= hi <= n of its positions."""
+    n = draw(st.integers(1, 5))
+    hi = draw(st.integers(0, n))
+    return draw(term_maps(n, rationals)), draw(st.integers(0, hi)), hi
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(spans())
+def test_split_by_a_range_slices_as_the_loop_groups(case):
+    terms, lo, hi = case
+    assert _split(terms, range(lo, hi)) == _split(terms, tuple(range(lo, hi)))
