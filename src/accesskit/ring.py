@@ -108,8 +108,6 @@ def _add_terms(a, b):
 def _addmul_terms(acc, coeff, shift, src):
     """In-place ``acc += coeff * x^shift * src``.  Returns ``acc``.
     Products and substitution go through it."""
-    if not coeff:
-        return acc
     for e, c in src.items():
         es = tuple(map(add, e, shift))
         cur = acc.get(es)
@@ -140,24 +138,6 @@ def _int_scale(terms):
     scale = math.lcm(*dens)
     ints = {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
     return ints, scale
-
-
-def _heap_addmul(r, heap, coeff, shift, src):
-    """`_addmul_terms` on a division remainder whose keys also sit on a
-    heap: a key new to the remainder is pushed.  A key that cancels stays
-    on the heap, and the division loops skip it when it comes up."""
-    for e, c in src.items():
-        es = tuple(map(add, e, shift))
-        cur = r.get(es)
-        if cur is None:
-            r[es] = coeff * c
-            heappush(heap, es)
-        else:
-            cur = cur + coeff * c
-            if cur:
-                r[es] = cur
-            else:
-                del r[es]
 
 
 def _eval_terms(terms, values):
@@ -723,61 +703,81 @@ def _used(terms):
     return used
 
 
-def _degree_box(terms):
-    """Per-variable maximum exponent over the monomials of a term map."""
-    return tuple(map(max, zip(*terms)))
+# A gcd trial division gives up once its quotient has this many terms; the
+# trial then reads as "does not divide", and a later gcd rule answers.
+_TRIAL_CAP = 20000
 
 
-def _quotient_box(terms, divisor):
-    """Degree box of the quotient if ``divisor`` divides ``terms`` exactly.
-
-    Degrees in each variable add under multiplication, so every term of an
-    exact quotient lies inside this box; None when even the degrees rule
-    the division out.
-    """
-    box = tuple(a - b for a, b in zip(_degree_box(terms), _degree_box(divisor)))
-    return None if min(box) < 0 else box
-
-
-def _divides_int(cand, terms):
-    """Integer-exact polynomial division test of terms by cand.
+def _int_quotient(terms, divisor, cap=None):
+    """Quotient of the integer term map ``terms`` by the integer term map
+    ``divisor`` over Z, or None when the division is inexact.  With a
+    ``cap``, the heap loop also gives up (None) once the quotient has that
+    many terms; a one-term divisor takes one pass over ``terms``.
 
     The quotient of an exact division is the same in every monomial order,
     so the loop divides in lex order (plain tuple comparison), cancelling
-    the remainder's smallest monomial first, as `divexact` does.  A
-    coefficient that cand's smallest one does not divide, or a quotient
-    term outside the quotient's degree box, proves the division inexact.
+    the remainder's lex-smallest monomial first, popped from a heap
+    (Monagan & Pearce, JSC 2011) in place of a scan per quotient term: lex
+    order is multiplicative, so the smallest term of q*d is the product of
+    the smallest terms of q and d, and an exact quotient comes out term by
+    term.  A remainder coefficient that the divisor's smallest coefficient
+    does not divide proves the division inexact, and so does a quotient
+    term outside the degree box an exact quotient lies in: degrees in each
+    variable add under multiplication.  The quotient terms increase, so
+    the box also bounds the loop.
     """
-    if len(cand) == 1:
-        ((ed, cd),) = cand.items()
-        return all(
-            c % cd == 0 and all(a >= b for a, b in zip(e, ed))
-            for e, c in terms.items()
-        )
-    box = _quotient_box(terms, cand)
-    if box is None:
-        return False
+    if len(divisor) == 1:
+        ((ed, cd),) = divisor.items()
+        q = {}
+        for e, c in terms.items():
+            qc, rem = divmod(c, cd)
+            s = tuple(map(sub, e, ed))
+            if rem or min(s) < 0:
+                return None
+            q[s] = qc
+        return q
+    box = tuple(map(sub, map(max, zip(*terms)), map(max, zip(*divisor))))
+    if min(box) < 0:
+        return None
     r = dict(terms)
     heap = list(r)
     heapify(heap)
-    rest = dict(cand)
+    rest = dict(divisor)
     ed = min(rest)
     cd = rest.pop(ed)
-    steps = 0
+    q = {}
     while heap:
         e = heappop(heap)
         c = r.pop(e, None)
         if c is None:  # cancelled after it was pushed
             continue
-        steps += 1
-        if steps > 20000:
-            return False
+        if len(q) == cap:
+            return None
         qc, rem = divmod(c, cd)
         s = tuple(map(sub, e, ed))
         if rem or any(a < 0 or a > b for a, b in zip(s, box)):
-            return False
-        _heap_addmul(r, heap, -qc, s, rest)
-    return True
+            return None
+        q[s] = qc
+        # r -= qc * x^s * rest; a key that cancels stays on the heap
+        for et, ct in rest.items():
+            es = tuple(map(add, et, s))
+            cur = r.get(es)
+            if cur is None:
+                r[es] = -qc * ct
+                heappush(heap, es)
+            else:
+                cur = cur - qc * ct
+                if cur:
+                    r[es] = cur
+                else:
+                    del r[es]
+    return q
+
+
+def _divides_int(cand, terms):
+    """Whether the integer term map cand divides terms over Z, with the
+    trial given up (False) after `_TRIAL_CAP` quotient terms."""
+    return _int_quotient(terms, cand, _TRIAL_CAP) is not None
 
 
 def _heu_gcd(reg, fterms, gterms):
@@ -1000,16 +1000,7 @@ def divexact(p, d):
     and primitive, so the quotient loop runs on ints: by Gauss's lemma an
     exact quotient over Q of an integral polynomial by a primitive one is
     integral.  Both scales fold into one Fraction, applied to the quotient
-    once.
-
-    The loop cancels the remainder's lex-smallest monomial first, popped
-    from a heap (Monagan & Pearce, JSC 2011) in place of a scan per quotient
-    term: lex order is multiplicative, so the smallest term of q*d is the
-    product of the smallest terms of q and d, and an exact quotient comes
-    out term by term.  A remainder coefficient that the divisor's smallest
-    coefficient does not divide proves the division inexact, and so does a
-    quotient term outside the degree box an exact quotient lies in; the
-    quotient terms increase, so the box also bounds the loop.
+    once.  The quotient comes from `_int_quotient`, with no cap.
     """
     p, d = unify(p, d)
     if d.is_zero:
@@ -1019,39 +1010,12 @@ def divexact(p, d):
     if d.is_constant:
         c = d.constant_value()
         return p if c == 1 else p * Fraction(1, c)
-    if len(d.terms) == 1:
-        ((ed, cd),) = d.terms.items()
-        q = {}
-        for e, c in p.terms.items():
-            s = tuple(x - y for x, y in zip(e, ed))
-            if min(s) < 0:
-                raise ExactDivisionError("inexact polynomial division")
-            q[s] = _q(Fraction(c, cd))
-        return Polynomial(p.reg, q, _clean=True)
-    box = _quotient_box(p.terms, d.terms)
-    if box is None:
-        raise ExactDivisionError("inexact polynomial division")
     pi, sp = _int_scale(p.terms)
     di, sd = _int_scale(d.terms)
     g = math.gcd(*di.values())
-    r = dict(pi)
-    heap = list(r)
-    heapify(heap)
-    rest = {e: c // g for e, c in di.items()}
-    ed = min(rest)
-    cd = rest.pop(ed)
-    q = {}
-    while heap:
-        e = heappop(heap)
-        c = r.pop(e, None)
-        if c is None:  # cancelled after it was pushed
-            continue
-        qc, rem = divmod(c, cd)
-        s = tuple(map(sub, e, ed))
-        if rem or any(x < 0 or x > y for x, y in zip(s, box)):
-            raise ExactDivisionError("inexact polynomial division")
-        q[s] = qc
-        _heap_addmul(r, heap, -qc, s, rest)
+    q = _int_quotient(pi, {e: c // g for e, c in di.items()})
+    if q is None:
+        raise ExactDivisionError("inexact polynomial division")
     if sd != sp * g:
         scale = Fraction(sd, sp * g)
         q = {e: _q(c * scale) for e, c in q.items()}

@@ -105,6 +105,17 @@ def path(request, monkeypatch):
     assert calls
 
 
+def common_factor_pairs():
+    """Seeded (f, g, c): two nonzero multiples of a nonconstant c."""
+    rng = random.Random(102)
+    for _ in range(40):
+        c = nonconstant(rng, terms=2, deg=2)
+        f = random_poly(rng) * c
+        g = random_poly(rng) * c
+        if not (f.is_zero or g.is_zero):
+            yield f, g, c
+
+
 class TestGcdAgainstSympy:
     def test_coprime_pairs_sharing_every_variable(self, monkeypatch, path):
         rng = random.Random(101)
@@ -121,13 +132,7 @@ class TestGcdAgainstSympy:
             assert proven >= 35
 
     def test_pairs_with_a_common_factor(self, monkeypatch, path):
-        rng = random.Random(102)
-        for _ in range(40):
-            c = nonconstant(rng, terms=2, deg=2)
-            f = random_poly(rng) * c
-            g = random_poly(rng) * c
-            if f.is_zero or g.is_zero:
-                continue
+        for f, g, _ in common_factor_pairs():
             h = fresh_gcd(monkeypatch, f, g)
             assert h == sympy_gcd(f, g)
             assert not h.is_constant
@@ -348,6 +353,17 @@ class TestDivexactAgainstSympy:
         assert not _divides_int(two_x, ints(3 * x**2))
         assert not _divides_int(two_x, ints(2 * x + 2))
         assert not _divides_int(ints(y), ints(x * y + x))
+
+
+def test_trial_divisions_that_give_up_leave_the_gcd_exact(monkeypatch):
+    # with the cap at one quotient term, every trial division of a
+    # common-factor pair by its factor gives up; the later rules answer
+    monkeypatch.setattr(ring, "_TRIAL_CAP", 1)
+    gave_up = 0
+    for f, g, c in common_factor_pairs():
+        assert fresh_gcd(monkeypatch, f, g) == sympy_gcd(f, g)
+        gave_up += not _divides_int(ints(c), ints(f))
+    assert gave_up >= 30
 
 
 class TestCoprimeDeclines:

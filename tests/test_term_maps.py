@@ -9,9 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accesskit import Polynomial, VariableRegistry
+from accesskit import Polynomial, VariableRegistry, ring
 from accesskit.errors import ExactDivisionError
-from accesskit.ring import _add_terms, _divides_int, _mul_terms, _split, divexact
+from accesskit.ring import (
+    _add_terms,
+    _divides_int,
+    _int_scale,
+    _mul_terms,
+    _split,
+    divexact,
+)
 
 derandomized = settings(max_examples=60)
 
@@ -101,7 +108,7 @@ def polys(min_size=0):
 
 
 @derandomized
-@given(polys(), polys(min_size=2), rationals)
+@given(polys(), polys(min_size=1), rationals)
 @example(
     Polynomial(REG, {(1, 0, 0, 0): Fraction(1, 3), (0, 0, 0, 0): 2}),
     Polynomial(REG, {(2, 0, 1, 0): Fraction(3, 2), (0, 1, 0, 0): Fraction(5, 4)}),
@@ -131,7 +138,8 @@ def test_inexact_division_by_the_quotient_box():
         divexact(x**2 + y, x + 1)
 
 
-def test_divexact_of_a_large_product_by_its_small_factor():
+def large_product():
+    """(a, d): a seeded 340-term polynomial and an 8-term factor."""
     rng = random.Random(5)
 
     def seeded(n, deg):
@@ -142,9 +150,23 @@ def test_divexact_of_a_large_product_by_its_small_factor():
         return Polynomial(REG, t)
 
     d = seeded(8, 3)
-    a = seeded(340, 9)
+    return seeded(340, 9), d
+
+
+def test_divexact_of_a_large_product_by_its_small_factor():
+    a, d = large_product()
     p = a * d
     assert 2400 <= len(p.terms) <= 2700
+    assert divexact(p, d) == a
+
+
+def test_divexact_takes_no_trial_cap(monkeypatch):
+    # below the 340 quotient terms, the trial division gives up on d, but
+    # divexact runs the same quotient loop uncapped
+    monkeypatch.setattr(ring, "_TRIAL_CAP", 100)
+    a, d = large_product()
+    p = a * d
+    assert not _divides_int(_int_scale(d.terms)[0], _int_scale(p.terms)[0])
     assert divexact(p, d) == a
 
 
