@@ -28,7 +28,6 @@ from .ring import (
     square_free_part,
 )
 from .system import (
-    _minor_table,
     _numerator_det,
     access_steps,
     bareiss_determinant,
@@ -121,51 +120,22 @@ def _state_free_denominators(sys):
     return all(f.den.variables_used().isdisjoint(f.reg.state_indices) for f in sys.phi)
 
 
-def _minor_numerators(sys, k):
-    """The numerators of the n x n minors of M_k, keyed by column set, each
-    times a nonzero factor free of the states, for a map whose component
-    denominators use no state (`_state_free_denominators`).  No gcd is
-    taken and no RationalFunction is divided.
-
-    `system._minor_table` walks the column sets with `_numerator_det`: a
-    newest-block set gets the Bareiss determinant of its numerators when
-    each column shares one denominator, and the numerator of
-    `_det_rational` otherwise; a first-block set gets that value for
-    A<k-1> times the set's value at step k - 1.
-
-    Each value is P * F, with P/Q the reduced minor and F free of the
-    states.  Every denominator of A<k-1>, of M_k and of their minors
-    divides a product of component denominators shifted along the walk,
-    so it uses no state, and neither does any factor of it.  A set whose
-    columns share the denominators d_j gives det * prod(d_j), so F =
-    prod(d_j) / Q.  A first-block set gives P_A * F_A * P' * F', from
-    det A<k-1> = P_A/Q_A and the minor P'/Q' at step k - 1; the reduced
-    minor has P = P_A * P' / g with g = gcd(P_A * P', Q_A * Q'), so F =
-    g * F_A * F', and g divides a state-free polynomial.
-
-    So the step ideal does not change.  Over K = Q(params), the field of
-    `groebner`, write P = sum_i v_i(x) * a_i(u) with the v_i a basis of
-    the K-span of P's input-monomial coefficients; the a_i in K[u] are
-    then linearly independent.  Multiplying by F in K[u] is injective and
-    K-linear, so the a_i * F are independent too, and the input-monomial
-    coefficients of P * F span the same K-space as P's: both generate the
-    same ideal, with the same reduced basis.
-    """
-    return _minor_table(sys, k, "minor_nums", _numerator_det)
-
-
 def _step_ideal(sys, k):
     """The minor-coefficient ideal I_{M_k}, built once per model: the
     input-monomial coefficients of the numerators of the n x n minors of
-    M_k.  A map with state-free denominators reads them off
-    `_minor_numerators`, any other off the reduced `minor_determinants`."""
+    M_k.  A rational map whose denominators use no state takes the walk
+    of `_reduced_step_generators` with no chain, every column set ranked,
+    resumed from the step-(k-1) record it left; any other map reads the
+    reduced `minor_determinants`."""
     key = ("step", k)
     if key not in sys._cache:
-        if _state_free_denominators(sys):
-            nums = _minor_numerators(sys, k).values()
-        else:
+        if _polynomial_map(sys) or not _state_free_denominators(sys):
             nums = (d.num for d in minor_determinants(sys, k).values())
-        gens = [c for p in nums for c in collect_by_class(p, "input").values()]
+            gens = [c for p in nums for c in collect_by_class(p, "input").values()]
+        else:
+            prev = sys._cache.get(("step walk", k - 1))
+            gens, walk = _reduced_step_generators(sys, k, None, prev)
+            sys._cache["step walk", k] = walk
         sys._cache[key] = Ideal(sys.reg, gens)
     return sys._cache[key]
 
@@ -193,42 +163,55 @@ def _locus_upto(sys, k):
 
 def _polynomial_map(sys):
     """Every component of the transition map is a polynomial: the chain
-    then takes the polynomial walk of `_reduced_step_generators`."""
+    walk then runs on `Polynomial` entries."""
     return all(f.is_polynomial for f in sys.phi)
 
 
 def _nested_chain(sys):
     """The gate of the nesting lemma (see `algorithm1`), decided once per
-    model: the map is polynomial and the input-monomial coefficients of
-    det A generate <1>, parameters counting as generic nonzero constants.
-    Then det A vanishes identically in the inputs at no state."""
+    model: no component denominator uses a state, and the input-monomial
+    coefficients of the numerator of det A (`_numerator_det`, which keeps
+    their ideal; see `_reduced_step_generators`) generate <1>, parameters
+    counting as generic nonzero constants.  Then det A vanishes
+    identically in the inputs at no state."""
     key = "nested"
     if key not in sys._cache:
-        ok = _polynomial_map(sys)
+        ok = _state_free_denominators(sys)
         if ok:
-            A = jacobians(sys)[0]
-            det = bareiss_determinant([[e.num for e in row] for row in A])
+            det = _numerator_det(jacobians(sys)[0])
             ok = Ideal(sys.reg, collect_by_class(det, "input").values()).contains_one()
         sys._cache[key] = ok
     return sys._cache[key]
 
 
 def _reduced_step_generators(sys, k, current, walk=None):
-    """The step-k generators new to the chain, from the walk of a
-    polynomial map, and the walk record WalkStep(k, env_{k-1}, A<k-1>,
-    M_k) that the call at k + 1 resumes from.
+    """The step-k generators new to the chain ideal `current` (None for
+    the whole step ideal), from the walk of a map whose component
+    denominators use no state, and the walk record WalkStep(k, env_{k-1},
+    A<k-1>, M_k) that the call at k + 1 resumes from.
 
-    Without parameters all intermediate data are reduced modulo the chain
-    ideal so far.  Replacing generators by their normal forms leaves the
-    cumulative ideal sum unchanged, and polynomial maps preserve
-    congruences, so reducing the shifted states and matrix entries at
-    every stage is exact for the chain — while keeping expression growth
-    flat.  With free parameters the walk runs unreduced: a leading
-    coefficient of the basis may be a parameter polynomial, which
-    `reduce(normalize=False)` does not invert, and a pseudo-remainder
-    would scale each entry by its own unit and change the minors.  The
-    coefficients of its minors are reduced once, normalized over
-    Q(params), and the zero ones dropped.
+    A polynomial map walks on `Polynomial` entries and takes Bareiss
+    determinants; any other walks on `RationalFunction` entries and takes
+    `_numerator_det`.  Either way every entry lies in R = K(u(0), ...,
+    u(k-1))[x], with K = Q(params) the field of `groebner`: each
+    denominator divides a product of shifted component denominators, so
+    it uses no state.  The map is polynomial in the states over the field
+    of the inputs, so it preserves congruences modulo J * R for every
+    ideal J of K[x].
+
+    Without parameters the numerator of each entry and of each minor is
+    reduced modulo the chain ideal so far; an entry whose numerator is
+    a normal form already is kept, with no gcd.  The basis then has
+    constant leading coefficients, so a normal form is congruent to p
+    and linear in the input monomials, and reducing P term by term over
+    a state-free Q reduces P/Q modulo current * R.  Replacing generators
+    by their normal forms leaves the chain unchanged, so reducing at
+    every stage is exact, and it keeps expression growth flat.  With free
+    parameters the walk runs unreduced: a leading coefficient of the
+    basis may be a parameter polynomial, which `reduce(normalize=False)`
+    does not invert, and a pseudo-remainder would scale each entry by its
+    own unit and change the minors.  The coefficients of its minors are
+    reduced once, normalized over K, and the zero ones dropped.
 
     The chain walks M_k once: `walk` is the record returned at k - 1
     (None walks from the start), and `access_steps` resumes from it.  On
@@ -241,24 +224,41 @@ def _reduced_step_generators(sys, k, current, walk=None):
     reducing the carried entries before they are multiplied keeps the
     products small.
 
-    Only the column sets that touch the newest input block are ranked.  A
-    set C inside the first block A<k-1> * M_{k-1} has the minor
-    det A<k-1> * det M_{k-1}[:, C].  The input-monomial coefficients of
-    det M_{k-1}[:, C] lie in the step-(k-1) ideal, which `current`, the
-    chain through step k - 1, contains; those of the product are
-    combinations of them with polynomial cofactors, so the minor reduces
-    to 0.  On a rational map the rational path (`minor_determinants`)
-    may not skip these sets: cancelling against the denominator of
-    det A<k-1> can leave a numerator outside the old coefficient ideal.
+    Given a chain, only the column sets that touch the newest input block
+    are ranked.  A set C inside the first block A<k-1> * M_{k-1} has the
+    minor det A<k-1> * det M_{k-1}[:, C], with det A<k-1> in R.  The old
+    minor lies in the step-(k-1) ideal times R, and `current`, the chain
+    through step k - 1, contains that ideal, so the minor reduces to 0.
+    A map whose denominators use a state may not skip these sets
+    (`minor_determinants` ranks them): cancelling against such a
+    denominator of det A<k-1> can leave a numerator outside the old
+    coefficient ideal.
+
+    A minor P/Q, reduced with Q free of the states, adds the least ideal
+    J with P/Q in J * R: the one P's input-monomial coefficients
+    generate.  `_numerator_det` gives P * F with F in K[u]: when every
+    column shares one denominator d_j, det * prod(d_j), so F = prod(d_j)
+    / Q, and otherwise P.  Write P = sum_i v_i(x) * a_i(u), the v_i a
+    basis of the K-span of P's coefficients; the a_i are then linearly
+    independent, and multiplying by F, injective and K-linear, keeps
+    them so.  The coefficients of P * F span the same K-space as P's and
+    generate the same ideal, with the same reduced basis.
     """
     n, m = sys.n, sys.m
     # parameter-free: the basis has constant leading coefficients, so the
     # normal form is congruent to p and linear in the input monomials
     reduced = current is not None and not sys.params
     red = partial(current.reduce, normalize=False) if reduced else (lambda p: p)
-    ev = lambda f, env: red(f.num.substitute(env))
-    start = walk or [sys.reg.var(s) for s in sys.reg.states]
-    steps = access_steps(sys, start, partial(flow_env, sys.reg), ev, red)
+    if _polynomial_map(sys):
+        var, det, entry = sys.reg.var, bareiss_determinant, red
+        ev = lambda f, env: red(f.num.substitute(env))
+    else:
+        var, det = lambda s: RationalFunction(sys.reg.var(s)), _numerator_det
+        keep = lambda f, p: f if p == f.num else RationalFunction(p, f.den)
+        entry = (lambda f: keep(f, red(f.num))) if reduced else red
+        ev = lambda f, env: entry(f.substitute(env))
+    start = walk or [var(s) for s in sys.reg.states]
+    steps = access_steps(sys, start, partial(flow_env, sys.reg), ev, entry)
     walk = next(step for step in steps if step.t == k)
     M = walk.M
 
@@ -269,9 +269,8 @@ def _reduced_step_generators(sys, k, current, walk=None):
     for colset in combinations(range(k * m), n):
         if colset[-1] < first:
             continue
-        sub = [[M[i][j] for j in colset] for i in range(n)]
-        det = red(bareiss_determinant(sub))
-        gens.extend(collect_by_class(det, "input").values())
+        p = red(det([[M[i][j] for j in colset] for i in range(n)]))
+        gens.extend(collect_by_class(p, "input").values())
     if current is not None and not reduced:
         gens = [g for g in map(current.reduce, dict.fromkeys(gens)) if not g.is_zero]
     return gens, walk
@@ -280,13 +279,13 @@ def _reduced_step_generators(sys, k, current, walk=None):
 def _new_step_generators(sys, k, current, walk=None):
     """The step-k generators new to the chain: their nonzero normal forms
     modulo the chain ideal so far (all of them when there is none yet), and
-    the walk record of a polynomial map (None for a rational one).
+    the walk record (None off the walk).
 
-    A polynomial map, with or without parameters, takes the walk of
-    `_reduced_step_generators`.  A rational map takes the step ideal
-    I_{M_k} of the rational engine (`_step_ideal`), every column set
-    ranked."""
-    if _polynomial_map(sys):
+    A map whose component denominators use no state, with or without
+    parameters, takes the walk of `_reduced_step_generators`.  Any other
+    takes the step ideal I_{M_k} of the rational engine (`_step_ideal`),
+    every column set ranked."""
+    if _state_free_denominators(sys):
         return _reduced_step_generators(sys, k, current, walk)
     gens = _step_ideal(sys, k).generators
     new = gens if current is None else map(current.reduce, gens)
@@ -363,22 +362,24 @@ def algorithm1(sys, max_k=None):
     per-step minor-coefficient ideal stops growing is the accessibility
     index r*.  Returns (r_star, final ideal, certified).
 
-    The nesting lemma.  Suppose the map is polynomial and the
-    input-monomial coefficients of det A generate <1> (`_nested_chain`).
-    Then det A<k> is nonzero, as a polynomial in the fresh inputs u(k),
-    at every state.  Where M_k has rank n for some inputs, so has its
-    block A<k> * M_k of M_{k+1}, so every non-accessible set lies in the
-    one before: S_{k+1} is contained in S_k.  By the real
-    Nullstellensatz the per-step ideal then has the real radical of the
-    cumulative one, sqrt_R(I_{M_k}) = sqrt_R(I_bar_k), with I_bar_k the
-    chain ideal of `algorithm2`.  Under that gate the radicals are taken
-    of the ideals of `algorithm2`'s chain, read from the report it left
-    on the model (it is run when absent), and no step ideal is built;
-    once kappa is found, I_bar_{kappa+1} = I_bar_kappa supplies the last
-    comparison.  Free parameters count as generic nonzero constants, as
-    everywhere: for `coil`, det A = 1 - b*T - a*T^2*u, whose
-    coefficients are not both zero.  Other maps, rational ones included,
-    take the radical of each step ideal I_{M_k}.
+    The nesting lemma.  Suppose no component denominator uses a state,
+    and the input-monomial coefficients of the numerator of det A
+    generate <1> (`_nested_chain`).  The walk is then defined at every
+    state for generic inputs, and det A<k> is nonzero, as a rational
+    function of the fresh inputs u(k), at every state.  Where M_k has
+    rank n for some inputs, so has its block A<k> * M_k of M_{k+1}, so
+    every non-accessible set lies in the one before: S_{k+1} is contained
+    in S_k.  By the real Nullstellensatz the per-step ideal then has the
+    real radical of the cumulative one, sqrt_R(I_{M_k}) = sqrt_R(I_bar_k),
+    with I_bar_k the chain ideal of `algorithm2`.  Under that gate the
+    radicals are taken of the ideals of `algorithm2`'s chain, read from
+    the report it left on the model (it is run when absent), and no step
+    ideal is built; once kappa is found, I_bar_{kappa+1} = I_bar_kappa
+    supplies the last comparison.  Free parameters count as generic
+    nonzero constants, as everywhere: for `coil`, det A = 1 - b*T -
+    a*T^2*u, whose coefficients are not both zero, and for
+    `coil_reversed`, det A = -1/(v*a*T^2 + b*T - 1).  Other maps take the
+    radical of each step ideal I_{M_k}.
     """
     if max_k is None:
         max_k = default_max_k(sys)

@@ -1202,9 +1202,12 @@ class RationalFunction:
     # -- calculus ---------------------------------------------------------
 
     def diff(self, name):
-        """Exact partial derivative (quotient rule, normalized)."""
+        """Exact partial derivative, normalized: dn/den when the
+        denominator does not use the variable, else the quotient rule."""
         dn = self.num.diff(name)
         dd = self.den.diff(name)
+        if dd.is_zero:
+            return RationalFunction(dn, self.den)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 
     def substitute(self, bindings):

@@ -260,39 +260,35 @@ def _shared_column_denominators(entries):
     return None
 
 
-def _minor_table(sys, k, key, det):
-    """The n x n minors of M_k, each taken by det and keyed by column set,
-    cached on the model under (key, k).
+def minor_determinants(sys, k):
+    """Determinants of all n x n submatrices of M_k, keyed by column set,
+    as reduced RationalFunctions, cached on the model.
 
     Minors drawn entirely from the A-propagated columns factor as
     det(A shifted) times the matching minor of M_{k-1}, which keeps the
     recursion cheap; only column sets touching the newest input block
     need a direct determinant.
     """
-    if (key, k) in sys._cache:
-        return sys._cache[key, k]
+    key = ("minor_dets", k)
+    if key in sys._cache:
+        return sys._cache[key]
     M = build_M(sys, k)
     n, m = sys.n, sys.m
     out = {}
     if k * m >= n:
         old_cols = (k - 1) * m
-        old = _minor_table(sys, k - 1, key, det) if k > 1 and old_cols >= n else None
+        old = minor_determinants(sys, k - 1) if k > 1 and old_cols >= n else None
         det_a = None
         for colset in combinations(range(k * m), n):
             if old is not None and colset[-1] < old_cols:
                 if det_a is None:
-                    det_a = det(sys._cache["walk"][k - 1].A)
+                    det_a = _det_rational(sys._cache["walk"][k - 1].A)
                 out[colset] = det_a * old[colset]
             else:
-                out[colset] = det([[M[i][j] for j in colset] for i in range(n)])
-    sys._cache[key, k] = out
+                sub = [[M[i][j] for j in colset] for i in range(n)]
+                out[colset] = _det_rational(sub)
+    sys._cache[key] = out
     return out
-
-
-def minor_determinants(sys, k):
-    """Determinants of all n x n submatrices of M_k, keyed by column set,
-    as reduced RationalFunctions."""
-    return _minor_table(sys, k, "minor_dets", _det_rational)
 
 
 def symbolic_rank(entries):

@@ -1,10 +1,11 @@
 """r* from the kappa chain: under the gate of the nesting lemma,
 `algorithm1` takes the radicals of `algorithm2`'s chain ideals and builds
-no step ideal.  A polynomial map with free parameters takes the chain
-walk unreduced, ranks only the minors that touch the newest input block,
-and never enters the rational engine (`build_M`, `minor_determinants`);
-its chain is checked against `cumulative_ideal`, which sums the
-unreduced step ideals of that engine."""
+no step ideal.  The gate admits every map whose component denominators
+use no state, rational ones such as `coil_reversed` included.  A map with
+free parameters takes the chain walk unreduced, ranks only the minors
+that touch the newest input block, and never enters the rational engine
+(`build_M`, `minor_determinants`); its chain is checked against
+`cumulative_ideal`, which sums the unreduced step ideals."""
 
 from fractions import Fraction
 
@@ -29,6 +30,12 @@ from conftest import load_model
 
 def _model(text):
     return to_system_model(parse_system(text))
+
+
+QUADRATIC = (
+    "system quadratic\nstates x1 x2\ninputs u\n"
+    "x1' = x2/(u + 1)\nx2' = (x1^2 + u*x2)/(u^2 + 2)\n"
+)
 
 
 def _coil(p, q, r):
@@ -89,10 +96,12 @@ class TestGate:
             ),
             # det A = 1 + u*p'(x)
             _model("system seven\nstates x\ninputs u\nx' = x + u*x*(x - 1)*(x - 2)\n"),
+            load_model("coil_reversed"),  # det A = -1/(v*a*T^2 + b*T - 1)
+            load_model("coil_reversed").bind_params({"T": 1, "a": 2, "b": 3}),
         ]
         failing = [
-            load_model("coil_reversed"),  # rational
-            load_model("rational2d"),  # rational
+            load_model("rational2d"),  # the denominator u + x1 uses a state
+            _model(QUADRATIC),  # det A = -2*x1/((u + 1)*(u^2 + 2))
             load_model("drift"),  # det A = 0
             _model("system square\nstates x\ninputs u\nx' = x^2 + u\n"),  # 2*x
             _model(  # 2*a*x
@@ -104,19 +113,29 @@ class TestGate:
 
     def test_no_step_ideal_on_a_gated_model(self, monkeypatch):
         coil, fivestep = load_model("coil"), load_model("fivestep")
+        reversed_ = load_model("coil_reversed")
+        bound = load_model("coil_reversed").bind_params({"T": 1, "a": 2, "b": 3})
         calls = _count_rational_engine(monkeypatch)
         # free-parameter coil walks its chain in the polynomial ring
         report = algorithm2(coil)
         assert algorithm1(coil)[0] == 3
         # fivestep runs algorithm2 itself, on the reduced engine
         assert algorithm1(fivestep)[0] == 6
+        # coil_reversed walks on rational entries, free and bound
+        assert algorithm1(reversed_)[0] == 3
+        assert algorithm1(bound)[0] == 3
         assert calls == {"_step_ideal": [], "build_M": [], "minor_determinants": []}
         # the chain is read from the report algorithm2 left on the model
         assert coil._cache[("algorithm2", analysis.default_max_k(coil))] is report
 
     def test_step_ideals_off_the_gate(self, monkeypatch):
         calls = _count_rational_engine(monkeypatch)["_step_ideal"]
-        assert algorithm1(load_model("coil_reversed"))[0] == 3
+        assert algorithm1(load_model("rational2d"))[0] == 3
+        assert calls
+        calls.clear()
+        # state-free denominators, off the gate: its step ideal at k = 3
+        # takes about 20 s, so the budget stops at 2
+        assert algorithm1(_model(QUADRATIC), 2)[0] is None
         assert calls
         calls.clear()
         square = _model("system square\nstates x\ninputs u\nx' = x^2 + u\n")
@@ -145,6 +164,23 @@ class TestAgreesWithTheStepIdeals:
             got = algorithm1(gated, max_k)
             assert _outcome(got) == _outcome(_reference_index(reference, max_k))
 
+    def test_free_parameter_coil_reversed(self):
+        gated, reference = load_model("coil_reversed"), load_model("coil_reversed")
+        assert algorithm2(gated).kappa == 3
+        for max_k in range(gated.n, 5):
+            got = algorithm1(gated, max_k)
+            assert _outcome(got) == _outcome(_reference_index(reference, max_k))
+
+    @settings(max_examples=8)
+    @given(st.tuples(*[st.fractions(-3, 3, max_denominator=4).filter(bool)] * 3))
+    def test_bound_coil_reversed(self, values):
+        bind = lambda: load_model("coil_reversed").bind_params(dict(zip("Tab", values)))
+        gated, reference = bind(), bind()
+        kappa = algorithm2(gated).kappa
+        assert kappa is not None
+        for max_k in range(gated.n, kappa + 2):
+            got = algorithm1(gated, max_k)
+            assert _outcome(got) == _outcome(_reference_index(reference, max_k))
 
     def test_not_generically_accessible(self, monkeypatch):
         # det A = 1, so the map passes the gate; both states take the same

@@ -29,7 +29,13 @@ from accesskit import (
 )
 from accesskit import analysis
 from accesskit.analysis import _P, _ev_mod_p, _matrix_mod_p, _point_matrix, _residue
-from accesskit.system import access_steps, bareiss_determinant, flow_env, walk_matrix
+from accesskit.system import (
+    _numerator_det,
+    access_steps,
+    bareiss_determinant,
+    flow_env,
+    walk_matrix,
+)
 from accesskit.errors import (
     DegenerateDenominatorError,
     IndeterminateError,
@@ -137,15 +143,22 @@ class TestEngineAgreement:
 
 def _from_scratch(sys, k, current, walk=None):
     """Reference for the reduced engine: M_k walked from the start modulo
-    the chain ideal so far, and every n x n column set ranked."""
+    the chain ideal so far, and every n x n column set ranked.  A rational
+    map walks on RationalFunction entries with reduced numerators."""
     red = (lambda p: p) if current is None else partial(current.reduce, normalize=False)
-    ev = lambda f, env: red(f.num.substitute(env))
-    x0 = [sys.reg.var(s) for s in sys.reg.states]
-    M = walk_matrix(sys, x0, k, partial(flow_env, sys.reg), ev, red)
+    if all(f.is_polynomial for f in sys.phi):
+        x0 = [sys.reg.var(s) for s in sys.reg.states]
+        det, entry = bareiss_determinant, red
+        ev = lambda f, env: red(f.num.substitute(env))
+    else:
+        x0 = [RationalFunction(sys.reg.var(s)) for s in sys.reg.states]
+        det, entry = _numerator_det, lambda f: RationalFunction(red(f.num), f.den)
+        ev = lambda f, env: entry(f.substitute(env))
+    M = walk_matrix(sys, x0, k, partial(flow_env, sys.reg), ev, entry)
     gens = []
     for colset in combinations(range(k * sys.m), sys.n):
-        det = red(bareiss_determinant([[row[j] for j in colset] for row in M]))
-        gens.extend(collect_by_class(det, "input").values())
+        p = red(det([[row[j] for j in colset] for row in M]))
+        gens.extend(collect_by_class(p, "input").values())
     return gens, None
 
 
@@ -167,22 +180,25 @@ def _text_model(name, *equations):
 
 
 class TestCarriedWalk:
-    """`algorithm2` on polynomial maps walks M_k once over the whole chain,
-    re-reduced modulo each new chain ideal, and ranks only the column sets
-    that touch the newest input block."""
+    """`algorithm2` on maps whose denominators use no state walks M_k once
+    over the whole chain, re-reduced modulo each new chain ideal, and ranks
+    only the column sets that touch the newest input block."""
 
     @staticmethod
     def _maps():
         """Fresh models: fivestep, a shift2- and a shift3-shaped map, a
-        bound coil and the seeded polynomial maps."""
+        bound coil, the seeded polynomial maps, a bound coil_reversed and a
+        rational map whose chain reduces the walk's entries."""
         rng = random.Random(5)
-        coil = load_model("coil").bind_params({"T": Fraction(1, 7), "a": 2, "b": 3})
+        bind = {"T": Fraction(1, 7), "a": 2, "b": 3}
         return [
             load_model("fivestep"),
             _text_model("shift2", "x2", "-x1 + u*(x2^2 - (3/2)*x2)"),
             _text_model("shift3", "x2", "x3", "(-2/3)*x1 + u*x3"),
-            coil,
+            load_model("coil").bind_params(bind),
             *(_polynomial_map(rng) for _ in range(6)),
+            load_model("coil_reversed").bind_params(bind),
+            _text_model("quadratic", "x2/(u + 1)", "(x1^2 + u*x2)/(u^2 + 2)"),
         ]
 
     @pytest.fixture(scope="class")
@@ -216,22 +232,25 @@ class TestCarriedWalk:
 
     def test_ranked_entries_are_normal_forms(self, maps, monkeypatch):
         chain = []
-        step, det = analysis._reduced_step_generators, analysis.bareiss_determinant
+        step = analysis._reduced_step_generators
 
         def recorded(sys, k, current, walk=None):
             chain.append(current)
             return step(sys, k, current, walk)
 
-        def checked(mat):
+        def checked(mat, det):
             current = chain[-1]
             if current is not None:
                 for row in mat:
                     for e in row:
-                        assert current.reduce(e, normalize=False) == e
+                        num = e.num if isinstance(e, RationalFunction) else e
+                        assert current.reduce(num, normalize=False) == num
             return det(mat)
 
         monkeypatch.setattr(analysis, "_reduced_step_generators", recorded)
-        monkeypatch.setattr(analysis, "bareiss_determinant", checked)
+        for name in ("bareiss_determinant", "_numerator_det"):
+            det = partial(checked, det=getattr(analysis, name))
+            monkeypatch.setattr(analysis, name, det)
         for sys in maps:
             algorithm2(sys)
         assert sum(c is not None for c in chain) >= 2 * len(maps)

@@ -1,5 +1,8 @@
-"""Maps whose component denominators use no state read their step ideals
-off the minors' numerators (`analysis._minor_numerators`), with no gcd.
+"""Maps whose component denominators use no state walk M_k on
+RationalFunction entries (`analysis._reduced_step_generators`) and read
+their step ideals off the numerators of its minors (`_numerator_det`).
+Off the chain, `_step_ideal` takes that walk unreduced, with every column
+set ranked.
 
 Each step ideal must equal the one of the reduced minors
 (`minor_determinants`), and the excluded locus must stay the one the
@@ -92,7 +95,13 @@ class TestStepIdeals:
         assert not _state_free_denominators(rational2d)
         _step_ideal(rational2d, 2)
         assert ("minor_dets", 2) in rational2d._cache
-        assert ("minor_nums", 2) not in rational2d._cache
+        assert ("step walk", 2) not in rational2d._cache
+
+    def test_state_free_denominators_take_the_walk(self):
+        sys = load_model("coil_reversed")
+        _step_ideal(sys, 2)
+        assert ("step walk", 2) in sys._cache
+        assert ("minor_dets", 2) not in sys._cache and "walk" not in sys._cache
 
 
 _NUMERATORS = ("x1", "x2", "x1^2", "x2^2", "x1*x2", "u*x1", "u*x2", "u*x1^2", "u")
@@ -127,6 +136,14 @@ def test_input_free_content_keeps_its_locus():
     )
     assert _state_free_denominators(sys)
     assert [str(f) for f in algorithm2(sys).excluded_locus] == ["a"]
+
+
+def test_quadratic_denominator_chain():
+    # k = 3 of this map takes about 20 s in _det_rational's cofactor rule;
+    # the chain walk reduces its entries and needs a fraction of a second
+    report = algorithm2(_model(QUADRATIC))
+    assert report.kappa == 2
+    assert [str(g) for g in report.chain.history[-1][1]] == ["x2^2", "x1^2*x2", "x1^4"]
 
 
 def test_bound_coil_reversed_takes_no_reduced_minor(monkeypatch):
