@@ -122,20 +122,12 @@ def _state_free_denominators(sys):
 
 def _step_ideal(sys, k):
     """The minor-coefficient ideal I_{M_k}, built once per model: the
-    input-monomial coefficients of the numerators of the n x n minors of
-    M_k.  A rational map whose denominators use no state takes the walk
-    of `_reduced_step_generators` with no chain, every column set ranked,
-    resumed from the step-(k-1) record it left; any other map reads the
-    reduced `minor_determinants`."""
+    input-monomial coefficients of the numerators of the reduced n x n
+    minors of M_k (`minor_determinants`), for every map."""
     key = ("step", k)
     if key not in sys._cache:
-        if _polynomial_map(sys) or not _state_free_denominators(sys):
-            nums = (d.num for d in minor_determinants(sys, k).values())
-            gens = [c for p in nums for c in collect_by_class(p, "input").values()]
-        else:
-            prev = sys._cache.get(("step walk", k - 1))
-            gens, walk = _reduced_step_generators(sys, k, None, prev)
-            sys._cache["step walk", k] = walk
+        nums = (d.num for d in minor_determinants(sys, k).values())
+        gens = [c for p in nums for c in collect_by_class(p, "input").values()]
         sys._cache[key] = Ideal(sys.reg, gens)
     return sys._cache[key]
 
@@ -168,27 +160,25 @@ def _polynomial_map(sys):
 
 
 def _nested_chain(sys):
-    """The gate of the nesting lemma (see `algorithm1`), decided once per
-    model: no component denominator uses a state, and the input-monomial
+    """The gate of the nesting lemma (see `algorithm1`, its only caller):
+    no component denominator uses a state, and the input-monomial
     coefficients of the numerator of det A (`_numerator_det`, which keeps
     their ideal; see `_reduced_step_generators`) generate <1>, parameters
     counting as generic nonzero constants.  Then det A vanishes
     identically in the inputs at no state."""
-    key = "nested"
-    if key not in sys._cache:
-        ok = _state_free_denominators(sys)
-        if ok:
-            det = _numerator_det(jacobians(sys)[0])
-            ok = Ideal(sys.reg, collect_by_class(det, "input").values()).contains_one()
-        sys._cache[key] = ok
-    return sys._cache[key]
+    if not _state_free_denominators(sys):
+        return False
+    det = _numerator_det(jacobians(sys)[0])
+    return Ideal(sys.reg, collect_by_class(det, "input").values()).contains_one()
 
 
 def _reduced_step_generators(sys, k, current, walk=None):
-    """The step-k generators new to the chain ideal `current` (None for
-    the whole step ideal), from the walk of a map whose component
-    denominators use no state, and the walk record WalkStep(k, env_{k-1},
-    A<k-1>, M_k) that the call at k + 1 resumes from.
+    """The step-k generators new to the chain ideal `current`, from the
+    walk of a map whose component denominators use no state, and the walk
+    record WalkStep(k, env_{k-1}, A<k-1>, M_k) that the call at k + 1
+    resumes from.  A None chain is step n, where the chain starts
+    (`algorithm2`, `generic_accessibility`): the walk goes from the start,
+    unreduced, and every column set is ranked.
 
     A polynomial map walks on `Polynomial` entries and takes Bareiss
     determinants; any other walks on `RationalFunction` entries and takes
@@ -278,13 +268,13 @@ def _reduced_step_generators(sys, k, current, walk=None):
 
 def _new_step_generators(sys, k, current, walk=None):
     """The step-k generators new to the chain: their nonzero normal forms
-    modulo the chain ideal so far (all of them when there is none yet), and
-    the walk record (None off the walk).
+    modulo the chain ideal so far (every generator of I_{M_n} at step n,
+    where `current` is None), and the walk record (None off the walk).
 
     A map whose component denominators use no state, with or without
     parameters, takes the walk of `_reduced_step_generators`.  Any other
     takes the step ideal I_{M_k} of the rational engine (`_step_ideal`),
-    every column set ranked."""
+    read off every minor of `minor_determinants`."""
     if _state_free_denominators(sys):
         return _reduced_step_generators(sys, k, current, walk)
     gens = _step_ideal(sys, k).generators
@@ -407,9 +397,10 @@ def algorithm1(sys, max_k=None):
 
 
 def cumulative_ideal(sys, k):
-    """Sum of the unreduced step ideals up to horizon k, the tests' reference
-    for the chain of `algorithm2`.  It builds every minor of M_1..M_k: on
-    `fivestep`, k = 5 does not finish in 45 s."""
+    """Sum of the step ideals I_{M_j}, j <= k, the tests' reference for the
+    chain of `algorithm2`.  Every one comes from the rational engine
+    (`_step_ideal`), never from the chain walk it checks.  It builds every
+    minor of M_1..M_k: on `fivestep`, k = 5 does not finish in 45 s."""
     total = None
     for j in range(1, k + 1):
         step = _step_ideal(sys, j)

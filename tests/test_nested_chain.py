@@ -5,7 +5,7 @@ use no state, rational ones such as `coil_reversed` included.  A map with
 free parameters takes the chain walk unreduced, ranks only the minors
 that touch the newest input block, and never enters the rational engine
 (`build_M`, `minor_determinants`); its chain is checked against
-`cumulative_ideal`, which sums the unreduced step ideals."""
+`cumulative_ideal`, which sums the step ideals of the rational engine."""
 
 from fractions import Fraction
 

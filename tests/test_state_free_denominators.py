@@ -1,11 +1,12 @@
 """Maps whose component denominators use no state walk M_k on
 RationalFunction entries (`analysis._reduced_step_generators`) and read
-their step ideals off the numerators of its minors (`_numerator_det`).
-Off the chain, `_step_ideal` takes that walk unreduced, with every column
-set ranked.
+their chain generators off the numerators of its minors
+(`_numerator_det`).  Every whole step ideal, on these maps as on any
+other, comes from the reduced minors (`_step_ideal`, which reads
+`minor_determinants`).
 
-Each step ideal must equal the one of the reduced minors
-(`minor_determinants`), and the excluded locus must stay the one the
+The walk's generators with no chain, every column set ranked, must
+generate that step ideal, and the excluded locus must stay the one the
 entries and minors of M_k give.
 """
 
@@ -13,15 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accesskit import Ideal, build_M, collect_by_class, parse_system, to_system_model
+from accesskit import Ideal, build_M, parse_system, to_system_model
 from accesskit import analysis
 from accesskit.analysis import (
     _locus_factor,
     _locus_upto,
+    _reduced_step_generators,
     _state_free_denominators,
     _step_ideal,
     algorithm1,
     algorithm2,
+    cumulative_ideal,
 )
 from accesskit.system import minor_determinants
 from conftest import load_model
@@ -29,13 +32,6 @@ from conftest import load_model
 
 def _model(text):
     return to_system_model(parse_system(text))
-
-
-def _reduced_ideal(sys, k):
-    """I_{M_k} from the reduced minors, the reference."""
-    nums = (d.num for d in minor_determinants(sys, k).values())
-    gens = [c for p in nums for c in collect_by_class(p, "input").values()]
-    return Ideal(sys.reg, gens)
 
 
 def _full_locus(sys, k):
@@ -50,7 +46,8 @@ def _full_locus(sys, k):
 def _assert_same_steps(sys, ks):
     assert _state_free_denominators(sys)
     for k in ks:
-        assert _step_ideal(sys, k).equal(_reduced_ideal(sys, k)), k
+        walked = Ideal(sys.reg, _reduced_step_generators(sys, k, None)[0])
+        assert walked.equal(_step_ideal(sys, k)), k
     assert _locus_upto(sys, max(ks)) == _full_locus(sys, max(ks))
 
 
@@ -87,7 +84,7 @@ class TestStepIdeals:
         _assert_same_steps(_model(text), range(1, 4))
 
     def test_quadratic_denominator(self):
-        # k = 3 of the reduced reference takes many seconds
+        # k = 3 of the reduced minors (`_step_ideal`) takes many seconds
         _assert_same_steps(_model(QUADRATIC), range(1, 3))
 
     def test_state_dependent_denominators_keep_the_reduced_minors(self):
@@ -97,11 +94,11 @@ class TestStepIdeals:
         assert ("minor_dets", 2) in rational2d._cache
         assert ("step walk", 2) not in rational2d._cache
 
-    def test_state_free_denominators_take_the_walk(self):
+    def test_state_free_denominators_take_the_minors(self):
         sys = load_model("coil_reversed")
         _step_ideal(sys, 2)
-        assert ("step walk", 2) in sys._cache
-        assert ("minor_dets", 2) not in sys._cache and "walk" not in sys._cache
+        assert ("minor_dets", 2) in sys._cache
+        assert not any("step walk" in key for key in sys._cache)
 
 
 _NUMERATORS = ("x1", "x2", "x1^2", "x2^2", "x1*x2", "u*x1", "u*x2", "u*x1^2", "u")
@@ -155,3 +152,14 @@ def test_bound_coil_reversed_takes_no_reduced_minor(monkeypatch):
     assert (report.kappa, report.excluded_locus) == (3, [])
     assert algorithm1(sys)[0] == 3
     assert calls == []
+
+
+def test_cumulative_ideal_takes_no_chain_walk(monkeypatch):
+    # the chain's reference must not share the walk or `_numerator_det`
+    calls = {}
+    for name in ("_reduced_step_generators", "_numerator_det"):
+        log, f = calls.setdefault(name, []), getattr(analysis, name)
+        counted = lambda *a, log=log, f=f: log.append(1) or f(*a)
+        monkeypatch.setattr(analysis, name, counted)
+    assert not cumulative_ideal(load_model("coil_reversed"), 3).is_zero_ideal
+    assert calls == {"_reduced_step_generators": [], "_numerator_det": []}
