@@ -2,10 +2,13 @@
 
 Subcommands: check, index, singular, point, simulate, rank, scan1d,
 backward.  Machine-readable JSON goes to standard output; diagnostics go
-to standard error.  Exit codes: 0 success, 1 analysis failure (an error
-raised by the analysis itself, not by its input), 2 parse or usage error
-(reading the arguments, loading or binding the system file), 3 resource
-budget exceeded, 4 pole/denominator degeneracy.
+to standard error.  Each command reads and checks all it was given (the
+arguments, the system file, --bind, --x, --u) before its analysis starts.
+Exit codes: 0 success, 3 resource budget exceeded, 4 pole/denominator
+degeneracy; any other error is sorted by phase: read before the analysis
+starts: exit 2; raised by the analysis, float overflow included: exit 1.
+A document holding a non-finite float is no JSON, so it exits 1 as well,
+with nothing on standard output.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 import sys as _sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .analysis import (
@@ -46,23 +48,14 @@ EXIT_POLE = 4
 _MAX_GRID_POINTS = 10**6
 
 
-def _load(path, binds):
+def _load(path):
+    """The parsed system file at path and the SHA-256 of its text."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
         raise AccessKitError(f"cannot read {path}: {exc.strerror or exc}") from None
-    spec = parse_system(text)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    if spec.numeric_only:
-        for name in binds:
-            if name not in spec.params:
-                raise ValueError(f"{name!r} is not a parameter of {spec.name}")
-        return spec, None, digest
-    model = to_system_model(spec)
-    if binds:
-        model = model.bind_params(binds)
-    return spec, model, digest
+    return parse_system(text), hashlib.sha256(text.encode()).hexdigest()
 
 
 def _parse_binds(items):
@@ -104,7 +97,7 @@ def _singular_json(s):
     }
 
 
-def _header(digest, binds, started, system, command=None):
+def _header(digest, binds, started, system, command):
     """The keys every JSON document shares (`backward` has no command).  A
     document made under --bind records the values bound, so two documents
     of one file tell an applied binding from none."""
@@ -122,9 +115,8 @@ def _header(digest, binds, started, system, command=None):
     return doc
 
 
-def _report_json(report, header, command=None):
+def _report_json(report):
     return {
-        **header(report.system_name, command),
         "mode": report.mode,
         "submersive": report.submersive,
         "generically_accessible": report.generically_accessible,
@@ -142,23 +134,11 @@ def _report_json(report, header, command=None):
     }
 
 
-class _AnalysisFailure(Exception):
-    """An AccessKitError or ValueError raised by the analysis itself."""
-
-
-def _analyse(fn, *args, **kwargs):
-    """Call one analysis step; budget and pole errors keep their own codes."""
-    try:
-        return fn(*args, **kwargs)
-    except (ResourceBudgetError, PoleError, DegenerateDenominatorError):
-        raise
-    except (AccessKitError, ValueError) as exc:
-        raise _AnalysisFailure(exc) from exc
-
-
 def _emit(doc):
-    json.dump(doc, _sys.stdout, indent=2, sort_keys=True)
-    _sys.stdout.write("\n")
+    """Write doc as strict JSON (RFC 8259): a non-finite float raises
+    ValueError before anything is written."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    _sys.stdout.write(text + "\n")
 
 
 def _rationals(text, n, flag):
@@ -202,8 +182,8 @@ def main(argv=None):
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("file", help="system definition file")
+    def common(p, *file, help="system definition file", **how):
+        p.add_argument(*file or ("file",), help=help, **how)
         p.add_argument(
             "--bind",
             action="append",
@@ -251,13 +231,15 @@ def main(argv=None):
     for name, default in (("--x-range", "0,2"), ("--u-range", "-1,1")):
         hint = f"range lo,hi; one that starts with '-' is written {name}=-1,1"
         p.add_argument(name, type=_interval, default=default, help=hint)
-    p = sub.add_parser(
-        "backward", help="backward accessibility via a supplied inverse system"
+    p = common(
+        sub.add_parser(
+            "backward", help="backward accessibility via a supplied inverse system"
+        ),
+        "--inverse",
+        dest="file",
+        required=True,
+        help="definition file of the time-inverse system",
     )
-    p.add_argument(
-        "--inverse", required=True, help="definition file of the time-inverse system"
-    )
-    p.add_argument("--bind", action="append", metavar="NAME=VALUE")
     p.add_argument("--max-k", type=int, default=None)
 
     args = ap.parse_args(argv)
@@ -278,8 +260,11 @@ def main(argv=None):
                 "over --x-range"
             )
     started = time.time()
+    failure = EXIT_PARSE  # an error before the analysis starts is the input's
     try:
-        return _dispatch(args, started)
+        analyse = _prepare(args, started)
+        failure = EXIT_ANALYSIS
+        return analyse()
     except ParseError as exc:
         print(f"parse error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
@@ -289,64 +274,60 @@ def main(argv=None):
     except (PoleError, DegenerateDenominatorError) as exc:
         print(f"pole/degeneracy: {exc}", file=_sys.stderr)
         return EXIT_POLE
-    except _AnalysisFailure as exc:
+    except (AccessKitError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_ANALYSIS
-    except (AccessKitError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
+        return failure
 
 
-def _dispatch(args, started):
-    binds = _parse_binds(getattr(args, "bind", None))
+def _prepare(args, started):
+    """Read and check everything the command was given: the system file,
+    --bind, --x and --u.  Returns the command's zero-argument runner, which
+    runs the analysis, writes the JSON document and returns the exit code."""
     cmd = args.command
-
-    if cmd == "backward":
-        spec, model, digest = _load(args.inverse, binds)
-        if model is None:
-            raise AccessKitError("backward analysis needs a symbolic system")
-        report = _analyse(backward_analysis, model, max_k=args.max_k)
-        _emit(_report_json(report, partial(_header, digest, binds, started)))
-        return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
-
-    spec, model, digest = _load(args.file, binds)
-    header = partial(_header, digest, binds, started)
-
+    binds = _parse_binds(args.bind)
+    spec, digest = _load(args.file)
     if cmd == "scan1d":
         step = to_numeric_step(spec, params=binds)
-        sets = _analyse(
-            grid_scan_1d,
-            step,
-            args.x_range,
-            args.u_range,
-            args.k,
-            grid=args.grid,
-            samples=args.samples,
-            threshold=args.threshold,
-        )
-        _emit(
-            {
-                **header(spec.name, "scan1d"),
-                "certification": "estimate",
-                "levels": [
-                    {"k": j + 1, "flagged": [round(x, 10) for x in pts]}
-                    for j, pts in enumerate(sets)
-                ],
-            }
-        )
-        return EXIT_OK
+    else:
+        model = to_system_model(spec)
+        if binds:
+            model = model.bind_params(binds)
+    if cmd == "point":
+        x0 = _rationals(args.x, model.n, "--x")
+    elif cmd in ("simulate", "rank"):  # float runs of a fully bound model
+        if model.params:
+            raise AccessKitError(
+                f"{cmd} needs values for parameters: {', '.join(model.params)}"
+            )
+        x0 = [float(c) for c in _rationals(args.x, model.n, "--x")]
+    if cmd == "simulate":
+        inputs = [
+            [float(v) for v in _rationals(u, model.m, "every --u step")]
+            for u in args.u.split(";")
+            if u
+        ]
 
-    if model is None:
-        raise AccessKitError(
-            f"{cmd!r} needs an exact symbolic system (file is numeric-only)"
-        )
-
-    if cmd == "check":
-        sub_ok = _analyse(submersivity_check, model)
-        ga = sub_ok and _analyse(generic_accessibility, model)
-        _emit(
-            {
-                **header(model.name, "check"),
+    def analyse():
+        code = EXIT_OK
+        if cmd == "scan1d":
+            sets = grid_scan_1d(
+                step,
+                args.x_range,
+                args.u_range,
+                args.k,
+                grid=args.grid,
+                samples=args.samples,
+                threshold=args.threshold,
+            )
+            levels = [
+                {"k": j + 1, "flagged": [round(x, 10) for x in pts]}
+                for j, pts in enumerate(sets)
+            ]
+            body = {"certification": "estimate", "levels": levels}
+        elif cmd == "check":
+            sub_ok = submersivity_check(model)
+            ga = sub_ok and generic_accessibility(model)
+            body = {
                 "submersive": sub_ok,
                 "generically_accessible": ga,
                 "verdict": (
@@ -355,72 +336,29 @@ def _dispatch(args, started):
                     else "not generically accessible; singular everywhere"
                 ),
             }
-        )
-        return EXIT_OK
-
-    if cmd in ("index", "singular"):
-        report = _analyse(algorithm2, model, max_k=args.max_k)
-        if cmd == "index" and args.exact_radical and report.generically_accessible:
-            r_star, _ideal, certified = _analyse(algorithm1, model, max_k=args.max_k)
-            report.r_star = r_star
-            report.r_star_certified = certified
-        _emit(_report_json(report, header, cmd))
-        return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
-
-    if cmd == "point":
-        x0 = _rationals(args.x, model.n, "--x")
-        verdict = _analyse(point_status, model, x0, args.k)
-        label = (
-            "undefined (excluded denominator locus)"
-            if verdict.undefined
-            else (
-                f"not accessible up to {args.k} steps (in S_{args.k})"
-                if verdict.in_S_k
-                else f"accessible (not in S_{args.k})"
-            )
-        )
-        _emit(
-            {
-                **header(model.name, "point"),
+        elif cmd == "point":
+            verdict = point_status(model, x0, args.k)
+            body = {
                 "point": [_rat(c) for c in x0],
                 "k": verdict.k,
                 "in_S_k": verdict.in_S_k,
                 "undefined": verdict.undefined,
-                "verdict": label,
+                "verdict": (
+                    "undefined (excluded denominator locus)"
+                    if verdict.undefined
+                    else (
+                        f"not accessible up to {args.k} steps (in S_{args.k})"
+                        if verdict.in_S_k
+                        else f"accessible (not in S_{args.k})"
+                    )
+                ),
             }
-        )
-        return EXIT_OK
-
-    # simulate and rank: float runs of a fully bound model
-    if model.params:
-        raise AccessKitError(
-            f"{cmd} needs values for parameters: {', '.join(model.params)}"
-        )
-    x0 = [float(c) for c in _rationals(args.x, model.n, "--x")]
-
-    if cmd == "simulate":
-        inputs = [
-            [float(v) for v in _rationals(step, model.m, "every --u step")]
-            for step in args.u.split(";")
-            if step
-        ]
-        traj = _analyse(simulate, model, x0, inputs)
-        _emit(
-            {
-                **header(model.name, "simulate"),
-                "states": traj.states,
-                "inputs": traj.inputs,
-            }
-        )
-        return EXIT_OK
-
-    if cmd == "rank":
-        est = _analyse(
-            jacobian_rank, model, x0, args.k, samples=args.samples, tol=args.tol
-        )
-        _emit(
-            {
-                **header(model.name, "rank"),
+        elif cmd == "simulate":
+            traj = simulate(model, x0, inputs)
+            body = {"states": traj.states, "inputs": traj.inputs}
+        elif cmd == "rank":
+            est = jacobian_rank(model, x0, args.k, samples=args.samples, tol=args.tol)
+            body = {
                 "k": args.k,
                 "rank": est.rank,
                 "singular_values": est.singular_values,
@@ -428,10 +366,21 @@ def _dispatch(args, started):
                 "samples": est.samples,
                 "certification": "sampled",
             }
-        )
-        return EXIT_OK
+        else:  # index, singular and backward report one chain
+            chain = backward_analysis if cmd == "backward" else algorithm2
+            report = chain(model, max_k=args.max_k)
+            if cmd == "index" and args.exact_radical and report.generically_accessible:
+                r_star, _ideal, certified = algorithm1(model, max_k=args.max_k)
+                report.r_star = r_star
+                report.r_star_certified = certified
+            body = _report_json(report)
+            code = EXIT_BUDGET if report.budget_exhausted else EXIT_OK
+        command = None if cmd == "backward" else cmd
+        header = _header(digest, binds, started, spec.name, command)
+        _emit({**header, **body})
+        return code
 
-    raise AccessKitError(f"unknown command {cmd!r}")
+    return analyse
 
 
 if __name__ == "__main__":

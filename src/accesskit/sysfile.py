@@ -375,6 +375,9 @@ def to_numeric_step(spec, params=None):
     if len(spec.states) != 1 or len(spec.inputs) != 1:
         raise AccessKitError("numeric scan needs exactly one state and one input")
     params = {k: float(v) for k, v in (params or {}).items()}
+    for name in params:
+        if name not in spec.params:
+            raise ValueError(f"{name!r} is not a parameter of {spec.name}")
     missing = [p for p in spec.params if p not in params]
     if missing:
         raise AccessKitError(

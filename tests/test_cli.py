@@ -18,10 +18,15 @@ from accesskit.errors import VerificationError
 from conftest import SYSTEMS
 
 
+def _non_finite(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run(capsys, *argv):
+    # stdout is parsed as strict JSON: NaN and Infinity are refused
     code = main(list(argv))
     out = capsys.readouterr().out
-    doc = json.loads(out) if out.strip() else None
+    doc = json.loads(out, parse_constant=_non_finite) if out.strip() else None
     return code, doc
 
 
@@ -339,8 +344,17 @@ class TestErrors:
             ["check", path("coil"), "--bind", "nonsense"],
             ["point", path("coil"), "--x", "1/0,1", "--k", "1"],
             ["simulate", path("fivestep"), "--x", "0,1", "--u", "1/0"],
+            ["simulate", path("fivestep"), "--x", "1e400,1", "--u", "1"],
         ],
-        ids=["missing-file", "directory", "bind", "bind-shape", "point", "inputs"],
+        ids=[
+            "missing-file",
+            "directory",
+            "bind",
+            "bind-shape",
+            "point",
+            "inputs",
+            "float-overflow",
+        ],
     )
     def test_unreadable_file_or_rational_exits_2(self, argv, tmp_path, capsys):
         code = main([a.format(tmp=tmp_path) for a in argv])
@@ -395,6 +409,85 @@ class TestAnalysisFailure:
         assert code == EXIT_ANALYSIS
         assert captured.out == ""
         assert captured.err == "error: radical chain check failed\n"
+
+    # per command: the analysis entry the CLI calls, a run of the command,
+    # and arguments that make that run's input wrong (a later --x wins)
+    ANALYSES = {
+        "check": ("submersivity_check", [path("coil")], ["--bind", "zz=1"]),
+        "index": ("algorithm2", [path("coil")], ["--bind", "zz=1"]),
+        "singular": ("algorithm2", [path("coil")], ["--bind", "zz=1"]),
+        "backward": (
+            "backward_analysis",
+            ["--inverse", path("coil_reversed")],
+            ["--bind", "zz=1"],
+        ),
+        "point": (
+            "point_status",
+            [path("coil"), "--x", "0,0", "--k", "1"],
+            ["--x", "0"],
+        ),
+        "simulate": (
+            "simulate",
+            [path("fivestep"), "--x", "0,1", "--u", "1"],
+            ["--x", "0,1,2"],
+        ),
+        "rank": (
+            "jacobian_rank",
+            [path("fivestep"), "--x", "0,1", "--k", "1"],
+            ["--x", "0"],
+        ),
+        "scan1d": (
+            "grid_scan_1d",
+            [path("sinemap"), "--k", "1", "--grid", "0.5"],
+            ["--bind", "zz=1"],
+        ),
+    }
+
+    @pytest.mark.parametrize("error", [VerificationError, ValueError])
+    @pytest.mark.parametrize("cmd", list(ANALYSES))
+    def test_every_command_parts_input_from_analysis(
+        self, cmd, error, monkeypatch, capsys
+    ):
+        # an error raised by the analysis exits 1; one in the command's own
+        # input exits 2, as it is read before the analysis starts
+        entry, argv, bad_input = self.ANALYSES[cmd]
+
+        def fail(*args, **kwargs):
+            raise error("the analysis failed")
+
+        monkeypatch.setattr(cli, entry, fail)
+        code = main([cmd, *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_ANALYSIS, "")
+        assert captured.err == "error: the analysis failed\n"
+        code = main([cmd, *argv, *bad_input])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARSE, "")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "rhs, argv",
+        [
+            ("x^2 + u", ["simulate", "--x", "10", "--u", ";".join(["0"] * 10)]),
+            ("exp(1000*x) + u", ["scan1d", "--k", "1", "--grid", "0.5"]),
+            (
+                "100000000000000000000*x + u",
+                ["simulate", "--x", "1", "--u", ";".join(["0"] * 20)],
+            ),
+        ],
+        ids=["power", "exp", "infinite-state"],
+    )
+    def test_float_overflow_is_an_analysis_failure(self, rhs, argv, tmp_path, capsys):
+        # a float that overflows in the analysis, or a state that reaches
+        # infinity and so has no RFC 8259 form, exits 1 with stdout empty
+        numeric = "numeric\n" if "exp" in rhs else ""
+        f = tmp_path / "overflow.sys"
+        f.write_text(f"system overflow\nstates x\ninputs u\n{numeric}x' = {rhs}\n")
+        code = main([argv[0], str(f), *argv[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_ANALYSIS, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 class TestRealSingularPoints:

@@ -185,8 +185,7 @@ class TestGcdAgainstSympy:
 
 
 def coil_reversed_pair():
-    """A pair GCDHEU gives up on, met by the `coil_reversed` replays in the
-    parameters T, a, b, and its gcd."""
+    """A pair GCDHEU gives up on, in the parameters T, a, b, and its gcd."""
     reg = VariableRegistry(("z1", "z2"), ("v",), ("T", "a", "b"), 1)
     T, a, b = (reg.var(n) for n in ("T", "a", "b"))
     f = a**3 * (
