@@ -74,7 +74,6 @@ class SingularSet:
 
 @dataclass
 class AnalysisReport:
-    system_name: str
     mode: str  # 'forward' or 'backward'
     submersive: bool
     generically_accessible: bool
@@ -311,7 +310,6 @@ def algorithm2(sys, max_k=None, mode="forward"):
         max_k = default_max_k(sys)
     n = sys.n
     report = AnalysisReport(
-        system_name=sys.name,
         mode=mode,
         submersive=submersivity_check(sys),
         generically_accessible=False,
@@ -350,7 +348,9 @@ def algorithm2(sys, max_k=None, mode="forward"):
 def algorithm1(sys, max_k=None):
     """Real-radical chain: the first horizon where the radical of the
     per-step minor-coefficient ideal stops growing is the accessibility
-    index r*.  Returns (r_star, final ideal, certified).
+    index r*.  Returns (r_star, final ideal, certified); a chain that has
+    not settled by max_k is never certified, so (None, _, True) is only
+    the proof that the map is not generically accessible.
 
     The nesting lemma.  Suppose no component denominator uses a state,
     and the input-monomial coefficients of the numerator of det A
@@ -392,8 +392,9 @@ def algorithm1(sys, max_k=None):
         if nxt.equal(current):
             return k, current, certified
         current = nxt
-    # on the chain, I_bar_{kappa+1} = I_bar_kappa settles the radicals too
-    return last, current, certified
+    # on the chain, I_bar_{kappa+1} = I_bar_kappa settles the radicals too;
+    # a chain the budget left open is no certificate
+    return last, current, certified and last is not None
 
 
 def cumulative_ideal(sys, k):

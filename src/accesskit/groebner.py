@@ -20,7 +20,6 @@ from .errors import ResourceBudgetError, VerificationError
 from .realroots import RootBox, real_roots
 from .ring import (
     Polynomial,
-    VariableRegistry,
     _addmul_terms,
     _content_in,
     _gcd_all,
@@ -65,8 +64,8 @@ def to_state_ring(p):
     form so bases from different shift horizons compare directly.
     """
     reg = p.reg
-    base = VariableRegistry(reg.states, reg.inputs, reg.params, horizon=0)
-    if reg.key == base.key:
+    base = reg.with_horizon(0)
+    if base is reg:
         return p
     k = base.arity
     for i in p.variables_used():
@@ -321,7 +320,7 @@ class Ideal:
     basis, computed once."""
 
     def __init__(self, reg, generators):
-        self.reg = VariableRegistry(reg.states, reg.inputs, reg.params, horizon=0)
+        self.reg = reg.with_horizon(0)
         gens = []
         for g in dict.fromkeys(generators):
             g = to_state_ring(g)
@@ -397,12 +396,9 @@ class Ideal:
         return True
 
     def uses_parameters(self):
+        params = self.reg.class_indices("parameter")
         gb = self.groebner_basis()
-        for g in gb:
-            for i in g.variables_used():
-                if g.reg.kind(i) == "parameter":
-                    return True
-        return False
+        return any(not g.variables_used().isdisjoint(params) for g in gb)
 
     def __str__(self):
         if self.is_zero_ideal:

@@ -13,6 +13,7 @@ The oracle takes bound models: give parameters values first with
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -166,6 +167,8 @@ def jacobian_rank(sys, x0, k, samples=25, tol=RANK_TOL):
     input sequences.  Rank counts singular values above tol times the
     largest one.  Raises PoleError only if every sample hits a pole."""
     import numpy as np
+    if samples < 1:
+        raise ValueError("the sample count must be >= 1")
     rng = random.Random(0xACCE55)
     best = None
     ok = 0
@@ -206,6 +209,10 @@ def grid_scan_1d(
     sorted lists of flagged grid values.  This is an estimate — labelled
     verdicts, never certificates.
     """
+    if samples < 1:
+        raise ValueError("the sample count must be >= 1")
+    if not 0 < grid < math.inf:
+        raise ValueError("the grid step must be finite and > 0")
     lo, hi = float(x_interval[0]), float(x_interval[1])
     ulo, uhi = float(u_interval[0]), float(u_interval[1])
 

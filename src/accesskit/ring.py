@@ -155,12 +155,15 @@ def _eval_terms(terms, values):
 class VariableRegistry:
     """Ordered variable set: parameters, states, then inputs by time block.
 
-    Input symbols exist for times ``0 .. horizon-1``; extending the horizon
-    appends symbols, so exponent tuples of a smaller registry lift by zero
-    padding.
+    Input symbols exist for times ``0 .. horizon-1``: ``u`` at time 0 and
+    ``u(t)`` after; extending the horizon appends symbols, so exponent tuples
+    of a smaller registry lift by zero padding.  The names and the three
+    position blocks are laid out once, here.
     """
 
-    __slots__ = ("params", "states", "inputs", "horizon", "_index")
+    __slots__ = (
+        "params", "states", "inputs", "horizon", "arity", "_names", "_index", "_blocks"
+    )
 
     def __init__(self, states, inputs=(), params=(), horizon=1):
         self.params = tuple(params)
@@ -169,40 +172,32 @@ class VariableRegistry:
         self.horizon = int(horizon)
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        names = list(self.params) + list(self.states)
+        names = self.params + self.states
         for t in range(self.horizon):
-            for u in self.inputs:
-                names.append(u if t == 0 else f"{u}({t})")
+            names += tuple(u if t == 0 else f"{u}({t})" for u in self.inputs)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         if not self.states:
             raise ValueError("at least one state variable is required")
+        self._names = names
         self._index = {n: i for i, n in enumerate(names)}
-        for u in self.inputs:
-            if self.horizon > 0:
-                self._index.setdefault(f"{u}(0)", self._index[u])
-
-    @property
-    def arity(self):
-        return len(self.params) + len(self.states) + len(self.inputs) * self.horizon
+        self.arity = len(names)
+        p, s = len(self.params), len(self.params) + len(self.states)
+        self._blocks = {
+            PARAM: range(p),
+            STATE: range(p, s),
+            INPUT: range(s, self.arity),
+        }
 
     @property
     def key(self):
         return (self.params, self.states, self.inputs, self.horizon)
 
     def name(self, i):
-        p, n, m = len(self.params), len(self.states), len(self.inputs)
-        if i < p:
-            return self.params[i]
-        if i < p + n:
-            return self.states[i - p]
-        j = i - p - n
-        t, r = divmod(j, m)
-        base = self.inputs[r]
-        return base if t == 0 else f"{base}({t})"
+        return self._names[i]
 
     def names(self):
-        return [self.name(i) for i in range(self.arity)]
+        return list(self._names)
 
     def index(self, name):
         try:
@@ -211,20 +206,15 @@ class VariableRegistry:
             raise UnregisteredVariableError(f"unknown variable {name!r}") from None
 
     def kind(self, i):
-        p, n = len(self.params), len(self.states)
-        if i < p:
-            return PARAM
-        if i < p + n:
-            return STATE
-        return INPUT
+        states = self._blocks[STATE]
+        return PARAM if i < states.start else STATE if i < states.stop else INPUT
 
     def class_indices(self, kind):
-        return [i for i in range(self.arity) if self.kind(i) == kind]
+        return self._blocks[kind]
 
     @property
     def state_indices(self):
-        p = len(self.params)
-        return range(p, p + len(self.states))
+        return self._blocks[STATE]
 
     def with_horizon(self, horizon):
         if horizon == self.horizon:

@@ -96,7 +96,7 @@ def flow_env(reg, x, t):
     target = reg.with_horizon(t + 1)
     env = {s: f.lift(target) for s, f in zip(reg.states, x)}
     for base in reg.inputs:
-        env[base] = target.var(f"{base}({t})")
+        env[base] = target.var(f"{base}({t})" if t else base)
     return env
 
 

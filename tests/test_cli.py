@@ -97,6 +97,14 @@ class TestIndexAndSingular:
         assert code == EXIT_BUDGET
         assert doc["budget_exhausted"] is True
 
+    @pytest.mark.parametrize("name, max_k", [("fivestep", "2"), ("rational2d", "3")])
+    def test_unsettled_r_star_is_uncertified(self, capsys, name, max_k):
+        # fivestep takes the kappa chain's radicals, rational2d its step ideals
+        argv = ("index", path(name), "--max-k", max_k, "--exact-radical")
+        code, doc = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert (doc["r_star"], doc["r_star_certified"]) == (None, False)
+
     def test_groebner_budget_exits_3_with_one_line(self, monkeypatch, capsys):
         # a ResourceBudgetError from the analysis, not report.budget_exhausted
         monkeypatch.setattr(groebner, "_DEGREE_CAP", 1)

@@ -65,7 +65,7 @@ def _reference_index(sys, max_k):
             return k, current, certified
         current = nxt
         k += 1
-    return None, current, certified
+    return None, current, False
 
 
 def _outcome(result):
@@ -141,6 +141,30 @@ class TestGate:
         square = _model("system square\nstates x\ninputs u\nx' = x^2 + u\n")
         assert algorithm1(square)[0] == 1
         assert calls
+
+
+class TestUnsettledChain:
+    """A chain that the horizon budget leaves open certifies nothing; a
+    certified null r* is only the proof that the map is not generically
+    accessible."""
+
+    def test_gated_path(self):
+        fivestep = load_model("fivestep")
+        assert _nested_chain(fivestep)
+        r_star, _, certified = algorithm1(fivestep, 2)
+        assert (r_star, certified) == (None, False)
+
+    def test_step_ideal_path(self, monkeypatch):
+        rational2d = load_model("rational2d")
+        assert not _nested_chain(rational2d)
+        steps = _count_rational_engine(monkeypatch)["_step_ideal"]
+        r_star, _, certified = algorithm1(rational2d, 3)
+        assert (r_star, certified, sorted(set(steps))) == (None, False, [2, 3])
+        assert algorithm1(load_model("rational2d"), 4)[::2] == (3, True)
+
+    def test_not_generically_accessible_stays_certified(self):
+        r_star, final, certified = algorithm1(load_model("drift"))
+        assert (r_star, final.is_zero_ideal, certified) == (None, True, True)
 
 
 class TestAgreesWithTheStepIdeals:

@@ -145,6 +145,11 @@ class TestJacobianRank:
         with pytest.raises(PoleError, match="all input samples"):
             jacobian_rank(to_system_model(spec), (0.0,), 2)
 
+    def test_no_samples_is_refused(self, fivestep):
+        # no sample drawn is not "every sample hit a pole"
+        with pytest.raises(ValueError, match="sample count"):
+            jacobian_rank(fivestep, (0.0, 1.0), 2, samples=0)
+
     def test_input_samples_are_drawn_lazily(self):
         # each sample is drawn when it is tried, in the order of a list
         # built up front: 2 + 3 * 2 structured samples, then uniform draws
@@ -187,6 +192,19 @@ class TestGridScan:
         levels = grid_scan_1d(step, (0.0, 2.0), (-1.0, 1.0), 3, samples=32)
         for shallow, deep in zip(levels, levels[1:]):
             assert set(deep) <= set(shallow)
+
+    def test_no_samples_is_refused(self, sinemap_spec):
+        # with no sequence to be sensitive to, every point would be flagged
+        step = to_numeric_step(sinemap_spec)
+        with pytest.raises(ValueError, match="sample count"):
+            grid_scan_1d(step, (0.0, 2.0), (-1.0, 1.0), 2, grid=0.5, samples=0)
+
+    @pytest.mark.parametrize("grid", [-0.5, 0.0, math.inf, math.nan])
+    def test_grid_step_must_be_finite_and_positive(self, sinemap_spec, grid):
+        # a negative step scanned no point, and a zero one divided by zero
+        step = to_numeric_step(sinemap_spec)
+        with pytest.raises(ValueError, match="grid step"):
+            grid_scan_1d(step, (0.0, 2.0), (-1.0, 1.0), 2, grid=grid)
 
     def test_accessible_map_flags_nothing(self):
         step = lambda x, u: x + u

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from accesskit import (
+    Ideal,
     PoleError,
     Polynomial,
     RationalFunction,
@@ -19,6 +20,7 @@ from accesskit.errors import (
     UnregisteredVariableError,
     ZeroPolynomialError,
 )
+from accesskit.groebner import to_state_ring
 from accesskit.ring import divexact
 
 
@@ -33,6 +35,28 @@ def rf(reg, name):
 
 def build(reg):
     return {n: rf(reg, n) for n in reg.names()}
+
+
+class TestRegistryLayout:
+    def test_two_of_each_at_horizon_3(self):
+        reg = VariableRegistry(("x", "y"), ("u", "v"), ("a", "b"), 3)
+        names = ["a", "b", "x", "y", "u", "v", "u(1)", "v(1)", "u(2)", "v(2)"]
+        kinds = ["parameter"] * 2 + ["state"] * 2 + ["input"] * 6
+        assert reg.names() == names and reg.arity == 10
+        assert [reg.name(i) for i in range(10)] == names
+        assert [reg.kind(i) for i in range(10)] == kinds
+        assert [reg.index(n) for n in names] == list(range(10))
+        assert reg.class_indices("parameter") == range(0, 2)
+        assert reg.class_indices("state") == reg.state_indices == range(2, 4)
+        assert reg.class_indices("input") == range(4, 10)
+        # the time-0 copy of an input has one name, the input's own
+        with pytest.raises(UnregisteredVariableError):
+            reg.index("u(0)")
+        base = reg.with_horizon(0)
+        p = base.var("x") * base.var("a") + 1
+        assert to_state_ring(p) is p
+        assert to_state_ring(reg.var("x") * reg.var("a") + 1) == p
+        assert Ideal(reg, [reg.var("y")]).reg == base
 
 
 class TestDifferentiate:
